@@ -6,10 +6,16 @@
 //     execution);
 //   * ~25-35 jobs per QAOA execution; ~500 s total per problem.
 // The modeled job times come from the IbmTimingModel; the table also shows
-// the *actual* local simulation wall time per job for contrast.
+// the *actual* local simulation wall time per job for contrast, as the
+// median and p10/p90 over repeated runs of each instance, with the core
+// count and OMP_NUM_THREADS they ran under.
+#include <omp.h>
+
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 
 #include "circuit/backend.hpp"
 #include "circuit/coupling.hpp"
@@ -122,26 +128,37 @@ int main(int argc, char** argv) {
   options.qaoa.max_sim_qubits = 14;
   options.qaoa.optimizer.max_evaluations = 28;
 
+  // Each instance runs once for the modeled job times, then
+  // kTimingRepeats more times, warm and on their own Rng, for the local
+  // wall time per job.
+  constexpr std::size_t kTimingRepeats = 9;
   Table table({"nck-vars", "jobs", "min(s)", "q1(s)", "median(s)", "q3(s)",
-               "max(s)", "total(s)", "sim-wall(ms)"});
+               "max(s)", "total(s)", "sim-wall(ms)", "p10-p90(ms)"});
 
   struct JobRow {
     std::size_t vars = 0;
     std::size_t jobs = 0;
     double total_seconds = 0.0;
-    double sim_wall_ms = 0.0;
+    Summary sim_wall_ms;  // per job, over the timing repeats
   };
   std::vector<JobRow> rows;
   for (Instance& inst : bench::graph_instances("max-cut", 33)) {
-    Timer wall;
     const CircuitOutcome outcome =
         run_circuit_backend(inst.env, coupling, engine, rng, options);
-    const double wall_ms = wall.milliseconds();
     if (!outcome.fits) continue;
+    Rng timing_rng(1100 + inst.env.num_vars());
+    std::vector<double> per_job_ms;
+    for (std::size_t r = 0; r < kTimingRepeats; ++r) {
+      Timer wall;
+      const CircuitOutcome again =
+          run_circuit_backend(inst.env, coupling, engine, timing_rng, options);
+      per_job_ms.push_back(wall.milliseconds() /
+                           static_cast<double>(again.num_jobs));
+    }
     const Summary s = summarize(outcome.job_seconds);
+    const Summary sim_wall = summarize(per_job_ms);
     rows.push_back({inst.env.num_vars(), outcome.num_jobs,
-                    outcome.total_seconds,
-                    wall_ms / static_cast<double>(outcome.num_jobs)});
+                    outcome.total_seconds, sim_wall});
     table.row()
         .cell(inst.env.num_vars())
         .cell(outcome.num_jobs)
@@ -151,12 +168,19 @@ int main(int argc, char** argv) {
         .cell(s.q3, 1)
         .cell(s.max, 1)
         .cell(outcome.total_seconds, 0)
-        .cell(wall_ms / static_cast<double>(outcome.num_jobs), 1);
+        .cell(sim_wall.median, 2)
+        .cell(format_double(sim_wall.p10, 2) + "-" +
+              format_double(sim_wall.p90, 2));
   }
   table.print(std::cout);
+  const char* omp_env = std::getenv("OMP_NUM_THREADS");
+  const unsigned nproc = std::thread::hardware_concurrency();
   std::cout << "\nModeled job times stay in the paper's 7-23 s band with no "
                "size trend;\ntotals land near the paper's ~500 s "
-               "(server overhead dominated).\n";
+               "(server overhead dominated).\nsim-wall: median (p10-p90) "
+               "over "
+            << kTimingRepeats << " repeats; nproc " << nproc
+            << ", OMP_NUM_THREADS " << (omp_env ? omp_env : "unset") << "\n";
 
   // --- QAOA evolution kernel: per-gate vs fused phase table -------------
   std::cout << "\n=== QAOA evolution kernel: per-gate vs fused ===\n\n";
@@ -179,12 +203,18 @@ int main(int argc, char** argv) {
     std::cerr << "bench_fig11_qaoa_runtime: cannot write " << out_path << "\n";
     return 1;
   }
-  out << "{\"bench\":\"fig11\",\"jobs\":[";
+  out << "{\"bench\":\"fig11\",\"machine\":{\"nproc\":" << nproc
+      << ",\"omp_num_threads\":"
+      << (omp_env ? "\"" + std::string(omp_env) + "\"" : std::string("null"))
+      << ",\"omp_max_threads\":" << omp_get_max_threads()
+      << "},\"timing_repeats\":" << kTimingRepeats << ",\"jobs\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i) out << ",";
     out << "{\"vars\":" << rows[i].vars << ",\"jobs\":" << rows[i].jobs
         << ",\"total_seconds\":" << rows[i].total_seconds
-        << ",\"sim_wall_ms_per_job\":" << rows[i].sim_wall_ms << "}";
+        << ",\"sim_wall_ms_per_job\":" << rows[i].sim_wall_ms.median
+        << ",\"sim_wall_ms_per_job_p10\":" << rows[i].sim_wall_ms.p10
+        << ",\"sim_wall_ms_per_job_p90\":" << rows[i].sim_wall_ms.p90 << "}";
   }
   out << "],\"kernel\":{\"num_qubits\":" << kernel.num_qubits
       << ",\"p\":" << kernel.p << ",\"evals\":" << kernel.evals

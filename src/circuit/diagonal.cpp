@@ -2,50 +2,131 @@
 
 #include <omp.h>
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace nck {
+
+namespace {
+
+// One Ising term as it acts on E(z): +odd when bits a and b of z differ,
+// -odd when they agree. A field h_q is (q, kClearBit) with odd = h_q, since
+// bit kClearBit of a basis index (below 2^kMaxQubits) is always clear; a
+// coupler J_ab is (a, b) with odd = -J_ab, since s_a s_b = -1 iff the bits
+// differ.
+struct Term {
+  unsigned a;
+  unsigned b;
+  double odd;
+};
+constexpr unsigned kClearBit = 31;
+
+// Basis states per chunk of the table pass: a chunk's energies stay in L1
+// while every term is added to them.
+constexpr std::uint32_t kTableChunk = 1024;
+
+// Assigns each energy the index of its level, adding levels in order of
+// first appearance. Levels are found by bit pattern in an open-addressing
+// table kept at most half full, so two energies share a level exactly when
+// they are bitwise equal.
+void index_levels(const std::vector<double>& energy,
+                  std::vector<double>& levels,
+                  std::vector<DiagonalCost::Level>& level_of) {
+  using Level = DiagonalCost::Level;
+  constexpr Level kEmpty = ~Level{0};
+  std::vector<Level> slots(64, kEmpty);
+  // The slot holding `key`'s level, or the empty slot ending its probe.
+  // Probes start at the top bits of a multiplicative hash: the low bits of
+  // a short binary fraction are all zero.
+  const auto slot_of = [&](std::uint64_t key) -> Level& {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull) >> (64 - std::countr_zero(slots.size())));
+    while (slots[i] != kEmpty &&
+           std::bit_cast<std::uint64_t>(levels[slots[i]]) != key) {
+      i = (i + 1) & mask;
+    }
+    return slots[i];
+  };
+  level_of.resize(energy.size());
+  for (std::size_t z = 0; z < energy.size(); ++z) {
+    Level& slot = slot_of(std::bit_cast<std::uint64_t>(energy[z]));
+    if (slot == kEmpty) {
+      slot = static_cast<Level>(levels.size());
+      levels.push_back(energy[z]);
+    }
+    level_of[z] = slot;
+    if (2 * levels.size() > slots.size()) {
+      slots.assign(2 * slots.size(), kEmpty);
+      for (std::size_t k = 0; k < levels.size(); ++k) {
+        slot_of(std::bit_cast<std::uint64_t>(levels[k])) =
+            static_cast<Level>(k);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 DiagonalCost::DiagonalCost(const IsingModel& ising, std::size_t num_qubits)
     : num_qubits_(num_qubits) {
   if (num_qubits > StateVector::kMaxQubits) {
     throw std::invalid_argument("DiagonalCost: too many qubits");
   }
-  table_.assign(1ull << num_qubits, 0.0);
-  const std::int64_t dim = static_cast<std::int64_t>(table_.size());
-  // One unit-stride pass per nonzero term: the field h_q adds +-h_q by
-  // bit q, the coupler J_ab adds +-J_ab by the parity of bits a and b.
+  std::vector<Term> terms;
   for (std::size_t q = 0; q < ising.h.size(); ++q) {
-    const double hq = ising.h[q];
-    if (hq == 0.0) continue;
+    if (ising.h[q] == 0.0) continue;
     if (q >= num_qubits) {
       throw std::invalid_argument("DiagonalCost: field index out of range");
     }
-    const std::uint64_t qbit = 1ull << q;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < dim; ++i) {
-      const auto z = static_cast<std::uint64_t>(i);
-      table_[z] += (z & qbit) != 0 ? hq : -hq;
-    }
+    terms.push_back({static_cast<unsigned>(q), kClearBit, ising.h[q]});
   }
   for (const auto& [a, b, w] : ising.j) {
     if (w == 0.0) continue;
     if (a >= num_qubits || b >= num_qubits) {
       throw std::invalid_argument("DiagonalCost: coupler index out of range");
     }
-    const std::uint64_t abit = 1ull << a;
-    const std::uint64_t bbit = 1ull << b;
+    terms.push_back({static_cast<unsigned>(a), static_cast<unsigned>(b), -w});
+  }
+
+  // One pass over the table, chunk by chunk: every E(z) starts at 0.0 and
+  // adds the terms in the order above, so its value depends on neither the
+  // chunking nor the thread count. A term's sign is applied by multiplying
+  // with +-1.0, which is exact, so the inner loop vectorizes.
+  const std::uint32_t dim = std::uint32_t{1} << num_qubits;
+  std::vector<double> energy(dim, 0.0);
+  const auto chunks =
+      static_cast<std::int64_t>((dim + kTableChunk - 1) / kTableChunk);
 #pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < dim; ++i) {
-      const auto z = static_cast<std::uint64_t>(i);
-      const bool parity = ((z & abit) != 0) != ((z & bbit) != 0);
-      table_[z] += parity ? -w : w;  // s_a s_b = +1 iff the bits agree
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    const std::uint32_t begin = static_cast<std::uint32_t>(c) * kTableChunk;
+    const std::uint32_t end = std::min(begin + kTableChunk, dim);
+    double* e = energy.data();
+    for (const Term& t : terms) {
+      const unsigned a = t.a;
+      const unsigned b = t.b;
+      const double odd = t.odd;
+#pragma omp simd
+      for (std::uint32_t z = begin; z < end; ++z) {
+        const auto sign =
+            static_cast<std::int32_t>((((z >> a) ^ (z >> b)) & 1u) * 2) - 1;
+        e[z] += odd * static_cast<double>(sign);
+      }
     }
   }
+  index_levels(energy, levels_, level_of_);
 }
 
 void DiagonalCost::apply(StateVector& state, double gamma) const {
-  state.apply_phase_table(table_, gamma);
+  std::vector<StateVector::Amplitude> phase(levels_.size());
+  const auto count = static_cast<std::int64_t>(levels_.size());
+#pragma omp parallel for schedule(static) if (count > 4096)
+  for (std::int64_t k = 0; k < count; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    phase[i] = std::polar(1.0, -gamma * levels_[i]);
+  }
+  state.multiply_diagonal(level_of_, phase);
 }
 
 void DiagonalCost::evolve_qaoa(StateVector& state,

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -144,23 +145,71 @@ void StateVector::fill_uniform() {
   }
 }
 
-void StateVector::apply_phase_table(const std::vector<double>& table,
-                                    double scale) {
-  if (table.size() != amps_.size()) {
-    throw std::invalid_argument("apply_phase_table: table size mismatch");
+namespace {
+
+using Amplitude = StateVector::Amplitude;
+
+// The complex products of the phase and mixer kernels, spelled out as the
+// real operations std::complex multiplication performs (a zero real part is
+// still multiplied, so signed zeros come out the same) without its NaN
+// recovery call, which keeps the loops free of calls and vectorizable.
+inline Amplitude mul(Amplitude x, Amplitude y) {
+  return {x.real() * y.real() - x.imag() * y.imag(),
+          x.real() * y.imag() + x.imag() * y.real()};
+}
+
+// One RX butterfly: (a0, a1) <- (c a0 + ms a1, ms a0 + c a1).
+inline void rx_pair(Amplitude& a0, Amplitude& a1, double c, Amplitude ms) {
+  const Amplitude x0 = a0;
+  const Amplitude x1 = a1;
+  const Amplitude m1 = mul(ms, x1);
+  const Amplitude m0 = mul(ms, x0);
+  a0 = {c * x0.real() + m1.real(), c * x0.imag() + m1.imag()};
+  a1 = {m0.real() + c * x1.real(), m0.imag() + c * x1.imag()};
+}
+
+}  // namespace
+
+void StateVector::multiply_diagonal(const std::vector<std::uint32_t>& index,
+                                    const std::vector<Amplitude>& factor) {
+  if (index.size() != amps_.size()) {
+    throw std::invalid_argument("multiply_diagonal: index size mismatch");
   }
+  Amplitude* amps = amps_.data();
+  const std::uint32_t* level = index.data();
+  const Amplitude* f = factor.data();
   const std::int64_t n = static_cast<std::int64_t>(amps_.size());
 #pragma omp parallel for schedule(static)
   for (std::int64_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::uint64_t>(i);
-    amps_[idx] *= std::polar(1.0, -scale * table[idx]);
+    amps[i] = mul(amps[i], f[level[i]]);
   }
 }
 
 void StateVector::rx_layer(double theta) {
   const double c = std::cos(theta / 2);
   const Amplitude ms(0.0, -std::sin(theta / 2));
-  for (std::size_t q = 0; q < num_qubits_; ++q) {
+  const std::size_t low = std::min(num_qubits_, kMixerBlockQubits);
+  const std::uint64_t block = 1ull << low;
+  const std::int64_t blocks = static_cast<std::int64_t>(amps_.size() >> low);
+  Amplitude* amps = amps_.data();
+  // Low qubits: each block holds both halves of all its pairs, so the
+  // block stays in cache while every low qubit is applied to it.
+#pragma omp parallel for schedule(static)
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    Amplitude* base = amps + static_cast<std::uint64_t>(b) * block;
+    for (std::size_t q = 0; q < low; ++q) {
+      const std::uint64_t stride = 1ull << q;
+      for (std::uint64_t start = 0; start < block; start += 2 * stride) {
+        Amplitude* lo = base + start;
+        Amplitude* hi = lo + stride;
+        for (std::uint64_t k = 0; k < stride; ++k) {
+          rx_pair(lo[k], hi[k], c, ms);
+        }
+      }
+    }
+  }
+  // High qubits: one pass over the pair index each.
+  for (std::size_t q = low; q < num_qubits_; ++q) {
     const std::uint64_t stride = 1ull << q;
     const std::int64_t pairs = static_cast<std::int64_t>(amps_.size() >> 1);
 #pragma omp parallel for schedule(static)
@@ -169,11 +218,7 @@ void StateVector::rx_layer(double theta) {
       // Interleave the pair index around bit q: low bits stay, high bits
       // shift up one, leaving bit q clear for the |0> side of the pair.
       const std::uint64_t lo = ((k & ~(stride - 1)) << 1) | (k & (stride - 1));
-      const std::uint64_t hi = lo | stride;
-      const Amplitude a0 = amps_[lo];
-      const Amplitude a1 = amps_[hi];
-      amps_[lo] = c * a0 + ms * a1;
-      amps_[hi] = ms * a0 + c * a1;
+      rx_pair(amps[lo], amps[lo | stride], c, ms);
     }
   }
 }
@@ -190,12 +235,22 @@ void StateVector::renormalize() {
 }
 
 double StateVector::norm() const {
-  double total = 0.0;
-  const std::int64_t n = static_cast<std::int64_t>(amps_.size());
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < n; ++i) {
-    total += std::norm(amps_[static_cast<std::uint64_t>(i)]);
+  // Fixed blocks summed in index order: the same additions in the same
+  // order for every thread count, unlike an OpenMP reduction.
+  constexpr std::uint64_t kBlock = 4096;
+  const std::uint64_t dim = amps_.size();
+  std::vector<double> partial((dim + kBlock - 1) / kBlock);
+  const std::int64_t blocks = static_cast<std::int64_t>(partial.size());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    const std::uint64_t begin = static_cast<std::uint64_t>(b) * kBlock;
+    const std::uint64_t end = std::min(begin + kBlock, dim);
+    double sum = 0.0;
+    for (std::uint64_t i = begin; i < end; ++i) sum += std::norm(amps_[i]);
+    partial[static_cast<std::uint64_t>(b)] = sum;
   }
+  double total = 0.0;
+  for (const double sum : partial) total += sum;
   return total;
 }
 
@@ -210,20 +265,19 @@ std::vector<double> StateVector::probabilities() const {
   return p;
 }
 
-std::vector<std::uint64_t> StateVector::sample(std::size_t shots,
-                                               Rng& rng) const {
+std::vector<std::uint64_t> StateVector::sample(std::size_t shots, Rng& rng) {
   // Cumulative inverse sampling; the CDF build dominates, so shots are cheap.
-  std::vector<double> cdf(amps_.size());
+  cdf_.resize(amps_.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < amps_.size(); ++i) {
     acc += std::norm(amps_[i]);
-    cdf[i] = acc;
+    cdf_[i] = acc;
   }
   std::vector<std::uint64_t> out(shots);
   for (std::size_t s = 0; s < shots; ++s) {
     const double r = rng.uniform() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-    out[s] = static_cast<std::uint64_t>(it - cdf.begin());
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), r);
+    out[s] = static_cast<std::uint64_t>(it - cdf_.begin());
   }
   return out;
 }

@@ -48,14 +48,23 @@ class StateVector {
   /// replacing n Hadamard passes with one fill.
   void fill_uniform();
 
-  /// Fused diagonal layer: amps[z] *= exp(-i * scale * table[z]) in a
-  /// single pass. `table` must have one entry per basis state (the
-  /// DiagonalCost energy table); throws on size mismatch.
-  void apply_phase_table(const std::vector<double>& table, double scale);
+  /// Fused diagonal layer: amps[z] *= factor[index[z]] in a single
+  /// branch-free gather pass (DiagonalCost passes one phase per energy
+  /// level). `index` must have one entry per basis state, each below
+  /// factor.size(); throws on a size mismatch.
+  void multiply_diagonal(const std::vector<std::uint32_t>& index,
+                         const std::vector<Amplitude>& factor);
+
+  /// The mixer's cache block: rx_layer applies qubits below this one
+  /// block of 2^kMixerBlockQubits amplitudes (64 KiB) at a time.
+  static constexpr std::size_t kMixerBlockQubits = 12;
 
   /// Applies rx(theta) to every qubit — the QAOA transverse-field mixer
-  /// layer — iterating amplitude pairs directly (half the index space, no
-  /// per-element branch) instead of one skip-half traversal per gate.
+  /// layer. Qubits below kMixerBlockQubits pair amplitudes within one
+  /// block, so they all run in a single pass, block by block; each higher
+  /// qubit takes one pass over the pair index. Every amplitude sees the
+  /// same arithmetic, qubit by qubit, as per-qubit rx passes in qubit
+  /// order.
   void rx_layer(double theta);
 
   /// Rescales so norm() == 1, pinning the drift of long products of unit
@@ -63,17 +72,21 @@ class StateVector {
   void renormalize();
 
   /// Sum of |amplitude|^2 (1 for any unitary evolution; tested invariant).
+  /// Summed in fixed blocks combined in index order, so the result does
+  /// not depend on the thread count.
   double norm() const;
 
   /// Probability of each basis state.
   std::vector<double> probabilities() const;
 
   /// Samples `shots` basis states i.i.d. from the output distribution.
-  std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng) const;
+  /// The cumulative distribution is built in a buffer kept across calls.
+  std::vector<std::uint64_t> sample(std::size_t shots, Rng& rng);
 
  private:
   std::size_t num_qubits_;
   std::vector<Amplitude> amps_;
+  std::vector<double> cdf_;  // sample()'s buffer
 };
 
 }  // namespace nck

@@ -27,9 +27,11 @@ Summary summarize(std::span<const double> values) {
   std::sort(v.begin(), v.end());
   s.min = v.front();
   s.max = v.back();
+  s.p10 = quantile(v, 0.1);
   s.q1 = quantile(v, 0.25);
   s.median = quantile(v, 0.5);
   s.q3 = quantile(v, 0.75);
+  s.p90 = quantile(v, 0.9);
   double sum = 0.0;
   for (double x : v) sum += x;
   s.mean = sum / static_cast<double>(v.size());

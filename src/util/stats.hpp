@@ -7,12 +7,15 @@
 
 namespace nck {
 
-/// Five-number summary plus mean, as printed for box-plot style figures.
+/// Five-number summary plus mean, as printed for box-plot style figures,
+/// and the 10th/90th percentiles for repeated timings.
 struct Summary {
   double min = 0.0;
+  double p10 = 0.0;
   double q1 = 0.0;
   double median = 0.0;
   double q3 = 0.0;
+  double p90 = 0.0;
   double max = 0.0;
   double mean = 0.0;
   double stddev = 0.0;

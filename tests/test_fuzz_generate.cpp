@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/reduce/reduce.hpp"
@@ -39,9 +40,31 @@ GeneratorOptions small_options() {
   return options;
 }
 
-TEST(FuzzGenerate, TwoHundredSeedsDecodeParseAndSimplifyRoundTrip) {
+// The 200 generator seeds run in kSeedShards value-parameterized ranges,
+// one ctest entry each, so `ctest -j` spreads them over the cores.
+constexpr std::uint64_t kSeeds = 200;
+constexpr std::uint64_t kSeedShards = 8;
+constexpr std::uint64_t kSeedsPerShard = kSeeds / kSeedShards;
+static_assert(kSeeds % kSeedShards == 0, "the shards must cover every seed");
+
+// Shard k runs seeds first_seed(k) .. first_seed(k) + kSeedsPerShard - 1.
+std::uint64_t first_seed(std::uint64_t shard) {
+  return 1 + shard * kSeedsPerShard;
+}
+
+std::string seed_range_name(
+    const ::testing::TestParamInfo<std::uint64_t>& info) {
+  const std::uint64_t first = first_seed(info.param);
+  return "Seeds" + std::to_string(first) + "To" +
+         std::to_string(first + kSeedsPerShard - 1);
+}
+
+using TwoHundredSeeds = ::testing::TestWithParam<std::uint64_t>;
+
+TEST_P(TwoHundredSeeds, DecodeParseAndSimplifyRoundTrip) {
   const GeneratorOptions options = small_options();
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+  const std::uint64_t first = first_seed(GetParam());
+  for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
     const std::vector<std::uint8_t> bytes =
         seeded_bytes(seed, 8 + static_cast<std::size_t>(seed % 64));
     const Env env = generate_program(bytes.data(), bytes.size(), options);
@@ -88,13 +111,14 @@ TEST(FuzzGenerate, TwoHundredSeedsDecodeParseAndSimplifyRoundTrip) {
   }
 }
 
-TEST(FuzzGenerate, TwoHundredSeedsAgreeWithBruteForceOnAllBackends) {
+TEST_P(TwoHundredSeeds, AgreeWithBruteForceOnAllBackends) {
   const GeneratorOptions options = small_options();
   DifferentialOptions diff;
   diff.check_synthesis = false;  // backend slice; synthesis slice below
   diff.anneal_reads = 10;
   diff.circuit_shots = 64;
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+  const std::uint64_t first = first_seed(GetParam());
+  for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
     const std::vector<std::uint8_t> bytes =
         seeded_bytes(seed, 8 + static_cast<std::size_t>(seed % 64));
     const Env env = generate_program(bytes.data(), bytes.size(), options);
@@ -104,6 +128,10 @@ TEST(FuzzGenerate, TwoHundredSeedsAgreeWithBruteForceOnAllBackends) {
     EXPECT_EQ(report.backends_checked, 3u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(FuzzGenerate, TwoHundredSeeds,
+                         ::testing::Range<std::uint64_t>(0, kSeedShards),
+                         seed_range_name);
 
 TEST(FuzzGenerate, SynthesisOracleAcceptsGeneratedPrograms) {
   const GeneratorOptions options = small_options();

@@ -1,14 +1,18 @@
 // Golden and regression tests for the hardware-fast hot loops: the
 // bit-packed parallel-tempering annealer (anneal/packed.hpp) against the
 // scalar IsingModel energy, the fused diagonal QAOA kernel
-// (circuit/diagonal.hpp) against per-gate application, the beta-schedule
-// endpoint fix, the deep-p norm-drift fix, and the sampler's per-read RNG
-// determinism contract (thread-count invariance, postprocess isolation).
+// (circuit/diagonal.hpp) against per-gate application and, bitwise,
+// against the scalar table/phase/mixer loops it replaced, the beta-schedule
+// endpoint fix, the deep-p norm-drift fix, and the determinism contracts of
+// the sampler (thread-count invariance, postprocess isolation) and of the
+// QAOA state vector (thread-count invariance).
 #include <gtest/gtest.h>
 #include <omp.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
 #include <map>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "anneal/sampler.hpp"
 #include "anneal/topology.hpp"
 #include "circuit/circuit.hpp"
+#include "circuit/coupling.hpp"
 #include "circuit/diagonal.hpp"
 #include "circuit/qaoa.hpp"
 #include "circuit/statevector.hpp"
@@ -246,7 +251,7 @@ TEST(FusedDiagonal, TableIsTheIsingEnergyWithoutOffset) {
   for (std::uint64_t z = 0; z < 64; ++z) {
     std::vector<bool> s(6);
     for (std::size_t q = 0; q < 6; ++q) s[q] = (z >> q) & 1u;
-    EXPECT_NEAR(cost.table()[z] + model.offset, model.energy(s), 1e-12);
+    EXPECT_NEAR(cost.energy(z) + model.offset, model.energy(s), 1e-12);
   }
 }
 
@@ -316,6 +321,232 @@ TEST(FusedDiagonal, FillUniformMatchesHadamardLayer) {
     EXPECT_NEAR(std::abs(a.amplitude(z) - b.amplitude(z)), 0.0, 1e-12);
   }
   EXPECT_NEAR(a.norm(), 1.0, 1e-12);
+}
+
+// ------------------------------ Bit identity with the scalar QAOA loops
+//
+// The level-indexed phase and the cache-blocked mixer promise the exact
+// amplitudes, before normalization, of the plain loops they replaced: an
+// E(z) table summed one Ising term at a time, std::polar per amplitude,
+// and one rx pass per qubit in qubit order. Those loops live here, scalar
+// and in std::complex arithmetic, as the reference.
+
+using Amps = std::vector<std::complex<double>>;
+
+std::vector<double> scalar_energy_table(const IsingModel& model,
+                                        std::size_t n) {
+  std::vector<double> table(std::size_t{1} << n, 0.0);
+  for (std::size_t q = 0; q < model.h.size(); ++q) {
+    const double hq = model.h[q];
+    if (hq == 0.0) continue;
+    for (std::uint64_t z = 0; z < table.size(); ++z) {
+      table[z] += ((z >> q) & 1u) != 0 ? hq : -hq;
+    }
+  }
+  for (const auto& [a, b, w] : model.j) {
+    if (w == 0.0) continue;
+    for (std::uint64_t z = 0; z < table.size(); ++z) {
+      const bool parity = (((z >> a) ^ (z >> b)) & 1u) != 0;
+      table[z] += parity ? -w : w;
+    }
+  }
+  return table;
+}
+
+Amps scalar_qaoa_amplitudes(const IsingModel& model, std::size_t n,
+                            const std::vector<double>& params) {
+  const std::vector<double> table = scalar_energy_table(model, n);
+  Amps amps(table.size(), std::complex<double>(
+                              1.0 / std::sqrt(static_cast<double>(
+                                        table.size())),
+                              0.0));
+  for (std::size_t layer = 0; layer < params.size() / 2; ++layer) {
+    const double gamma = params[2 * layer];
+    for (std::size_t z = 0; z < amps.size(); ++z) {
+      amps[z] *= std::polar(1.0, -gamma * table[z]);
+    }
+    const double theta = 2.0 * params[2 * layer + 1];
+    const double c = std::cos(theta / 2);
+    const std::complex<double> ms(0.0, -std::sin(theta / 2));
+    for (std::size_t q = 0; q < n; ++q) {
+      const std::uint64_t stride = std::uint64_t{1} << q;
+      for (std::uint64_t z = 0; z < amps.size(); ++z) {
+        if (z & stride) continue;
+        const std::complex<double> a0 = amps[z];
+        const std::complex<double> a1 = amps[z | stride];
+        amps[z] = c * a0 + ms * a1;
+        amps[z | stride] = ms * a0 + c * a1;
+      }
+    }
+  }
+  return amps;
+}
+
+Amps amplitudes_of(const StateVector& state) {
+  Amps amps(state.dimension());
+  for (std::uint64_t z = 0; z < amps.size(); ++z) amps[z] = state.amplitude(z);
+  return amps;
+}
+
+// The kernels under test, without evolve_qaoa's final renormalize.
+Amps kernel_qaoa_amplitudes(const DiagonalCost& cost,
+                            const std::vector<double>& params) {
+  StateVector state(cost.num_qubits());
+  state.fill_uniform();
+  for (std::size_t layer = 0; layer < params.size() / 2; ++layer) {
+    cost.apply(state, params[2 * layer]);
+    state.rx_layer(2.0 * params[2 * layer + 1]);
+  }
+  return amplitudes_of(state);
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+std::size_t bitwise_mismatches(const Amps& a, const Amps& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t mismatches = 0;
+  for (std::size_t z = 0; z < std::min(a.size(), b.size()); ++z) {
+    if (!same_bits(a[z].real(), b[z].real()) ||
+        !same_bits(a[z].imag(), b[z].imag())) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+// Sparse Ising with the small integer weights of a compiled NchooseK QUBO,
+// so E(z) takes few distinct levels.
+IsingModel integer_weight_ising(std::size_t n, Rng& rng) {
+  IsingModel model;
+  model.h.resize(n);
+  for (double& h : model.h) {
+    h = 0.5 * static_cast<double>(static_cast<int>(rng.uniform(-4.0, 5.0)));
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (!rng.bernoulli(std::min(1.0, 3.0 / static_cast<double>(n)))) continue;
+      const double w =
+          static_cast<double>(static_cast<int>(rng.uniform(-3.0, 4.0)));
+      model.j.emplace_back(static_cast<Qubo::Var>(a),
+                           static_cast<Qubo::Var>(b), w);
+    }
+  }
+  return model;
+}
+
+std::vector<double> random_angles(std::size_t p, Rng& rng) {
+  std::vector<double> params(2 * p);
+  for (double& v : params) v = rng.uniform(-1.5, 1.5);
+  return params;
+}
+
+TEST(FusedBitIdentity, LevelPhaseAndBlockedMixerMatchScalarLoops) {
+  const std::size_t block = StateVector::kMixerBlockQubits;
+  const std::size_t sizes[] = {1, 2, block - 1, block, block + 1, 18};
+  Rng rng(2506);
+  for (const std::size_t n : sizes) {
+    const IsingModel model = integer_weight_ising(n, rng);
+    const DiagonalCost cost(model, n);
+    for (const std::size_t p : {std::size_t{1}, std::size_t{3}}) {
+      const std::vector<double> params = random_angles(p, rng);
+      EXPECT_EQ(bitwise_mismatches(kernel_qaoa_amplitudes(cost, params),
+                                   scalar_qaoa_amplitudes(model, n, params)),
+                0u)
+          << "n " << n << " p " << p << ", " << cost.levels().size()
+          << " levels";
+    }
+  }
+}
+
+TEST(FusedBitIdentity, ManyLevelsRandomRealCoefficients) {
+  // Random real weights make almost every E(z) its own level: the phase
+  // pass then evaluates std::polar once per basis state, as the scalar
+  // loop does, and must still agree bit for bit.
+  Rng rng(77);
+  const std::size_t n = 14;
+  const IsingModel model = random_embedded_ising(n, rng);
+  const DiagonalCost cost(model, n);
+  EXPECT_GT(cost.levels().size(), std::size_t{1} << (n - 1));
+  for (const std::size_t p : {std::size_t{1}, std::size_t{3}}) {
+    const std::vector<double> params = random_angles(p, rng);
+    EXPECT_EQ(bitwise_mismatches(kernel_qaoa_amplitudes(cost, params),
+                                 scalar_qaoa_amplitudes(model, n, params)),
+              0u)
+        << "p " << p;
+  }
+}
+
+TEST(FusedBitIdentity, LevelsReproduceTheTermByTermTable) {
+  Rng rng(31);
+  for (const std::size_t n : {std::size_t{3}, std::size_t{13}}) {
+    for (const bool many : {false, true}) {
+      const IsingModel model =
+          many ? random_embedded_ising(n, rng) : integer_weight_ising(n, rng);
+      const DiagonalCost cost(model, n);
+      const std::vector<double> table = scalar_energy_table(model, n);
+      std::size_t mismatches = 0;
+      for (std::uint64_t z = 0; z < table.size(); ++z) {
+        if (!same_bits(cost.energy(z), table[z])) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "n " << n << " many " << many;
+      // Levels are distinct bit patterns.
+      std::vector<std::uint64_t> bits;
+      for (const double e : cost.levels()) {
+        bits.push_back(std::bit_cast<std::uint64_t>(e));
+      }
+      std::sort(bits.begin(), bits.end());
+      EXPECT_EQ(std::adjacent_find(bits.begin(), bits.end()), bits.end());
+    }
+  }
+}
+
+// --------------------------------- QAOA state-vector determinism contract
+
+TEST(QaoaDeterminism, IdenticalAcrossRerunsAndThreadCounts) {
+  // The norm behind evolve_qaoa's renormalize sums fixed blocks in index
+  // order, so the normalized amplitudes, and with them every sample, are
+  // bit-identical for any OpenMP thread count and on every rerun.
+  Rng model_rng(1818);
+  const std::size_t n = 18;
+  const IsingModel model = integer_weight_ising(n, model_rng);
+  const DiagonalCost cost(model, n);
+  const std::vector<double> params = random_angles(2, model_rng);
+
+  const Qubo qubo = ising_to_qubo(model);
+  QaoaOptions options;
+  options.shots = 512;
+  options.optimizer.max_evaluations = 6;
+  const QaoaPrepared prepared =
+      prepare_qaoa(qubo, brooklyn_coupling(), options);
+
+  struct Run {
+    Amps amps;
+    std::vector<std::vector<bool>> samples;
+  };
+  const auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    StateVector state(n);
+    cost.evolve_qaoa(state, params);
+    Run out;
+    out.amps = amplitudes_of(state);
+    Rng rng(4321);
+    out.samples = run_qaoa_prepared(qubo, prepared, options, rng).samples;
+    return out;
+  };
+
+  const int saved = omp_get_max_threads();
+  const Run first = run(4);
+  const Run again = run(4);
+  const Run single = run(1);
+  const Run eight = run(8);
+  omp_set_num_threads(saved);
+
+  for (const Run* other : {&again, &single, &eight}) {
+    EXPECT_EQ(bitwise_mismatches(other->amps, first.amps), 0u);
+    EXPECT_EQ(other->samples, first.samples);
+  }
 }
 
 // ------------------------------------------- Sampler determinism contract
