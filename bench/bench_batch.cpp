@@ -12,13 +12,21 @@
 //                  workers; tasks are independent, so 1 -> 4 should be
 //                  near-linear.
 //
+// Then the annealing kernel on its own: the retired scalar loop against
+// the packed tempering kernel, and the packed sweep's cost per proposal at
+// each tempering rung.
+//
 // Writes BENCH_batch.json (override with --out=<file>); CI validates the
 // JSON and checks the cold/warm speedup floor.
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "anneal/packed.hpp"
@@ -29,6 +37,7 @@
 #include "qubo/ising.hpp"
 #include "runtime/pool.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -77,6 +86,16 @@ double solve_batch_ms(SolverPool& pool, const std::vector<Env>& envs) {
 /// sample_annealer ran before the packed kernel) against the bit-packed
 /// parallel-tempering kernel, on an embedded-problem-density random Ising
 /// with an equal total sweep budget per read.
+/// Cost of one Metropolis proposal at one tempering rung: a replica held
+/// at the rung's beta, after warm-up sweeps, timed over repeated blocks of
+/// sweeps. A sweep proposes every spin once, so the popcount of the change
+/// in the spin words is exactly its accepted flips.
+struct RungCost {
+  double beta = 0.0;
+  Summary ns_per_proposal;
+  double accept_rate = 0.0;
+};
+
 struct KernelTimings {
   std::string label;
   std::size_t num_spins = 0;
@@ -85,7 +104,52 @@ struct KernelTimings {
   double scalar_ms = 0.0;
   double packed_ms = 0.0;
   double speedup = 0.0;
+  std::vector<RungCost> rungs;
 };
+
+constexpr std::size_t kRungWarmSweeps = 64;
+constexpr std::size_t kRungBlockSweeps = 512;
+constexpr std::size_t kRungBlocks = 11;
+
+std::vector<RungCost> rung_costs(const PackedWorkspace& workspace,
+                                 const TemperingOptions& options) {
+  const std::size_t n = workspace.packed().num_spins();
+  std::vector<RungCost> rungs;
+  Rng rng(13);
+  for (double beta : tempering_ladder(options)) {
+    PackedState state;
+    state.words.resize(workspace.packed().num_words());
+    state.field.resize(n);
+    workspace.randomize(state, rng);
+    workspace.refresh(state);
+    for (std::size_t s = 0; s < kRungWarmSweeps; ++s) {
+      workspace.sweep(state, beta, rng);
+    }
+    std::vector<std::uint64_t> before;
+    std::vector<double> block_ns;
+    std::size_t flips = 0;
+    for (std::size_t block = 0; block < kRungBlocks; ++block) {
+      Timer timer;
+      for (std::size_t s = 0; s < kRungBlockSweeps; ++s) {
+        before = state.words;
+        workspace.sweep(state, beta, rng);
+        for (std::size_t w = 0; w < before.size(); ++w) {
+          flips += static_cast<std::size_t>(
+              std::popcount(before[w] ^ state.words[w]));
+        }
+      }
+      block_ns.push_back(timer.milliseconds() * 1e6 /
+                         static_cast<double>(kRungBlockSweeps * n));
+    }
+    RungCost rung;
+    rung.beta = beta;
+    rung.ns_per_proposal = summarize(block_ns);
+    rung.accept_rate = static_cast<double>(flips) /
+                       static_cast<double>(kRungBlocks * kRungBlockSweeps * n);
+    rungs.push_back(rung);
+  }
+  return rungs;
+}
 
 KernelTimings kernel_study(const std::string& label, const Graph& g) {
   KernelTimings k;
@@ -134,6 +198,7 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
   }
   k.packed_ms = packed_timer.milliseconds();
   k.speedup = k.packed_ms > 0.0 ? k.scalar_ms / k.packed_ms : 0.0;
+  k.rungs = rung_costs(workspace, options);
 
   // Sanity line (offset is zero, so QUBO and packed energies compare 1:1).
   std::cout << "kernel [" << label << "]: best energy scalar " << scalar_best
@@ -220,12 +285,36 @@ int main(int argc, char** argv) {
             << kernels[0].num_sweeps
             << " total sweeps, equal budget both kernels)\n";
 
+  // Per-rung cost of the packed sweep: hot rungs accept most proposals and
+  // pay the neighbor-field update on each, cold rungs reject almost all.
+  std::cout << "\n=== Packed sweep cost per tempering rung ===\n\n";
+  Table rung_table({"problem", "beta", "ns/proposal", "p10-p90", "accepted"});
+  for (const KernelTimings& k : kernels) {
+    for (const RungCost& rung : k.rungs) {
+      rung_table.row()
+          .cell(k.label)
+          .cell(rung.beta, 3)
+          .cell(rung.ns_per_proposal.median, 2)
+          .cell(format_double(rung.ns_per_proposal.p10, 2) + "-" +
+                format_double(rung.ns_per_proposal.p90, 2))
+          .cell(rung.accept_rate, 3);
+    }
+  }
+  rung_table.print(std::cout);
+  std::cout << "\n(" << kRungBlocks << " blocks of " << kRungBlockSweeps
+            << " sweeps per rung after " << kRungWarmSweeps
+            << " warm-up sweeps; median and p10-p90 over blocks)\n";
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "bench_batch: cannot write " << out_path << "\n";
     return 1;
   }
-  out << "{\"bench\":\"batch\",\"tasks\":" << envs.size()
+  const char* omp_env = std::getenv("OMP_NUM_THREADS");
+  out << "{\"bench\":\"batch\",\"machine\":{\"nproc\":"
+      << std::thread::hardware_concurrency() << ",\"omp_num_threads\":"
+      << (omp_env ? "\"" + std::string(omp_env) + "\"" : std::string("null"))
+      << "},\"tasks\":" << envs.size()
       << ",\"backend\":\"annealer\",\"reads_per_task\":20"
       << ",\"cold_ms\":" << cold_ms << ",\"warm_ms\":" << warm_ms
       << ",\"speedup_cold_over_warm\":" << speedup << ",\"cache\":{\"hits\":"
@@ -244,7 +333,17 @@ int main(int argc, char** argv) {
         << ",\"num_reads\":" << k.num_reads
         << ",\"num_sweeps\":" << k.num_sweeps
         << ",\"scalar_ms\":" << k.scalar_ms << ",\"packed_ms\":" << k.packed_ms
-        << ",\"speedup\":" << k.speedup << "}";
+        << ",\"speedup\":" << k.speedup << ",\"rungs\":[";
+    for (std::size_t r = 0; r < k.rungs.size(); ++r) {
+      const RungCost& rung = k.rungs[r];
+      if (r) out << ",";
+      out << "{\"beta\":" << rung.beta
+          << ",\"ns_per_proposal\":" << rung.ns_per_proposal.median
+          << ",\"ns_per_proposal_p10\":" << rung.ns_per_proposal.p10
+          << ",\"ns_per_proposal_p90\":" << rung.ns_per_proposal.p90
+          << ",\"accept_rate\":" << rung.accept_rate << "}";
+    }
+    out << "]}";
   }
   out << "]}\n";
   std::cout << "\nwrote " << out_path << "\n";

@@ -3,11 +3,62 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "qubo/heuristic.hpp"
 #include "qubo/qubo.hpp"
 
 namespace nck {
+namespace {
+
+// exp(-x) on the grid x = k/64, as a bracket per step: for k = floor(64 x)
+// (exact, since 64 x is a power-of-two scaling) exp(-x) lies in
+// (exp(-(k+1)/64), exp(-k/64)]. The 1e-12 relative slack on both ends is
+// far above the sub-ulp error of std::exp at the grid points and at x, so a
+// draw outside the slackened bracket settles u < std::exp(-x) without
+// calling exp (DESIGN.md §3g).
+struct ExpBracket {
+  double reject_at;     // exp(-k/64) * (1 + 1e-12)
+  double accept_below;  // exp(-(k+1)/64) * (1 - 1e-12)
+};
+
+constexpr double kExpGrid = 64.0;
+// exp(-40) < 2^-53, the smallest nonzero uniform() draw.
+constexpr double kExpCutoff = 40.0;
+// -2 s for a spin bit of 0 (s = -1) and 1 (s = +1).
+constexpr double kMinusTwoS[2] = {2.0, -2.0};
+
+const ExpBracket* exp_brackets() {
+  static const std::vector<ExpBracket> table = [] {
+    const auto steps = static_cast<std::size_t>(kExpCutoff * kExpGrid);
+    std::vector<ExpBracket> t(steps);
+    for (std::size_t k = 0; k < steps; ++k) {
+      const double x = static_cast<double>(k) / kExpGrid;
+      const double next = static_cast<double>(k + 1) / kExpGrid;
+      t[k] = {std::exp(-x) * (1 + 1e-12), std::exp(-next) * (1 - 1e-12)};
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+inline bool accept_uphill(const ExpBracket* brackets, double x,
+                          double u) noexcept {
+  if (x >= 0.0 && x < kExpCutoff) {
+    const ExpBracket& b = brackets[static_cast<std::size_t>(x * kExpGrid)];
+    if (u >= b.reject_at) return false;
+    if (u < b.accept_below) return true;
+  } else if (!(x < 0.0) && u != 0.0) {
+    return false;  // x >= 40 or NaN: exp(-x) < u, or the compare is false
+  }
+  return u < std::exp(-x);
+}
+
+}  // namespace
+
+bool metropolis_accept(double x, double u) noexcept {
+  return accept_uphill(exp_brackets(), x, u);
+}
 
 PackedIsing::PackedIsing(const IsingModel& model) : h(model.h) {
   const std::size_t n = model.num_spins();
@@ -127,14 +178,37 @@ void PackedWorkspace::flip(PackedState& state, std::size_t i, double s_old,
 }
 
 void PackedWorkspace::sweep(PackedState& state, double beta, Rng& rng) const {
+  // The spin word, the energy and the generator live in locals for the
+  // whole sweep; arithmetic and draw order are those of a plain loop over
+  // state.up(i) / state.field[i] / rng.uniform() with libm exp.
+  const ExpBracket* brackets = exp_brackets();
   const std::size_t n = packed_->num_spins();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double s = state.up(i) ? 1.0 : -1.0;
-    const double d = -2.0 * s * state.field[i];
-    if (d <= 0.0 || rng.uniform() < std::exp(-beta * d)) {
-      flip(state, i, s, d);
+  const std::uint32_t* offsets = packed_->offsets.data();
+  const std::uint32_t* neighbors = packed_->neighbors.data();
+  const double* w = w_.data();
+  double* field = state.field.data();
+  std::uint64_t* words = state.words.data();
+  double energy = state.energy;
+  Rng local = rng;
+  for (std::size_t base = 0; base < n; base += 64) {
+    std::uint64_t word = words[base >> 6];
+    const std::size_t end = std::min(n, base + 64);
+    for (std::size_t i = base; i < end; ++i) {
+      // -2 s_i, picked without a branch: exactly the factor of -2.0 * s.
+      const double shift = kMinusTwoS[(word >> (i & 63)) & 1];
+      const double d = shift * field[i];
+      if (d <= 0.0 || accept_uphill(brackets, beta * d, local.uniform())) {
+        word ^= 1ull << (i & 63);
+        energy += d;
+        for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          field[neighbors[k]] += shift * w[k];
+        }
+      }
     }
+    words[base >> 6] = word;
   }
+  state.energy = energy;
+  rng = local;
 }
 
 void PackedWorkspace::descend(PackedState& state) const {
@@ -193,6 +267,7 @@ const PackedState& PackedWorkspace::anneal(const TemperingOptions& options,
 
   const std::size_t interval =
       options.exchange_interval > 0 ? options.exchange_interval : per_replica;
+  const ExpBracket* brackets = exp_brackets();
   std::size_t done = 0;
   std::size_t parity = 0;
   while (done < per_replica) {
@@ -212,7 +287,7 @@ const PackedState& PackedWorkspace::anneal(const TemperingOptions& options,
                        (replicas_[order_[t]].energy -
                         replicas_[order_[t + 1]].energy);
       const double u = rng.uniform();
-      if (d >= 0.0 || u < std::exp(d)) {
+      if (d >= 0.0 || accept_uphill(brackets, -d, u)) {
         std::swap(order_[t], order_[t + 1]);
       }
     }

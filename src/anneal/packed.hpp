@@ -62,6 +62,13 @@ struct TemperingOptions {
 /// single-replica ladder is {beta_final} (anneal cold, never hot-only).
 std::vector<double> tempering_ladder(const TemperingOptions& options);
 
+/// Metropolis acceptance of an uphill move, x = beta * dE, for a draw u of
+/// Rng::uniform() (0 or a multiple of 2^-53 below 1): returns exactly
+/// `u < std::exp(-x)` for every x, NaN and infinities included, but settles
+/// almost every call from a 1/64-step table of exp brackets instead of
+/// calling exp (DESIGN.md §3g).
+bool metropolis_accept(double x, double u) noexcept;
+
 /// One replica: packed spins, incrementally-maintained local fields
 /// field[i] = h_i + sum_j J_ij s_j, and the tracked energy
 /// sum_i h_i s_i + sum_{i<j} J_ij s_i s_j (model offset excluded).
@@ -101,8 +108,8 @@ class PackedWorkspace {
   const PackedState& anneal(const TemperingOptions& options, Rng& rng);
 
   /// One Metropolis sweep at inverse temperature beta; flip delta is
-  /// dE(i) = -2 s_i field_i, accepted when dE <= 0 or with probability
-  /// exp(-beta dE).
+  /// dE(i) = -2 s_i field_i, accepted when dE <= 0 or, with one uniform()
+  /// draw, when metropolis_accept(beta * dE, u).
   void sweep(PackedState& state, double beta, Rng& rng) const;
 
   /// Greedy single-flip descent to a local minimum.

@@ -32,6 +32,13 @@ bool Graph::has_edge(Vertex u, Vertex v) const noexcept {
   return std::find(smaller.begin(), smaller.end(), other) != smaller.end();
 }
 
+void Graph::reserve(std::span<const std::size_t> degrees,
+                    std::size_t num_edges) {
+  const std::size_t n = std::min(degrees.size(), adjacency_.size());
+  for (std::size_t v = 0; v < n; ++v) adjacency_[v].reserve(degrees[v]);
+  edges_.reserve(num_edges);
+}
+
 std::vector<Graph::Edge> Graph::complement_edges() const {
   std::vector<Edge> result;
   const auto n = static_cast<Vertex>(num_vertices());
@@ -69,6 +76,16 @@ Graph Graph::induced_subgraph(std::span<const Vertex> keep) const {
     remap[keep[i]] = static_cast<std::int64_t>(i);
   }
   Graph sub(keep.size());
+  std::vector<std::size_t> degrees(keep.size(), 0);
+  std::size_t num_edges = 0;
+  for (const auto& [u, v] : edges_) {
+    if (remap[u] >= 0 && remap[v] >= 0) {
+      ++degrees[static_cast<std::size_t>(remap[u])];
+      ++degrees[static_cast<std::size_t>(remap[v])];
+      ++num_edges;
+    }
+  }
+  sub.reserve(degrees, num_edges);
   for (const auto& [u, v] : edges_) {
     if (remap[u] >= 0 && remap[v] >= 0) {
       sub.add_edge(static_cast<Vertex>(remap[u]), static_cast<Vertex>(remap[v]));

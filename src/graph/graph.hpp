@@ -33,6 +33,11 @@ class Graph {
 
   bool has_edge(Vertex u, Vertex v) const noexcept;
 
+  /// Reserves room for `degrees[v]` neighbors of each vertex v and for
+  /// `num_edges` edges, so a builder that knows its graph's shape adds
+  /// edges without regrowing the lists. Changes no vertex, edge or order.
+  void reserve(std::span<const std::size_t> degrees, std::size_t num_edges);
+
   std::span<const Vertex> neighbors(Vertex v) const noexcept {
     return adjacency_[v];
   }
@@ -46,6 +51,10 @@ class Graph {
 
   /// True if every vertex is reachable from vertex 0 (or the graph is empty).
   bool connected() const;
+
+  /// Same vertex count, same adjacency lists and same edge list, each in
+  /// the same order.
+  bool operator==(const Graph&) const = default;
 
   /// Induced subgraph on `keep` (ids are remapped to 0..keep.size()-1,
   /// in the order given).

@@ -1,12 +1,13 @@
 #include "obs/json.hpp"
 
-#include <cstdlib>
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json_number.hpp"
 #include "util/table.hpp"
 
 namespace nck::obs {
@@ -29,7 +30,12 @@ std::string json_escape(const std::string& s) {
 }
 
 void write_double(std::ostream& os, double v) {
-  // max_digits10 round-trips binary64 exactly through text.
+  // JSON has no NaN or infinity: such a value is written as null and read
+  // back as NaN. max_digits10 round-trips every finite binary64 exactly.
+  if (!std::isfinite(v)) {
+    os << "null";
+    return;
+  }
   os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
 }
 
@@ -111,14 +117,28 @@ class Cursor {
     return out;
   }
 
+  /// A JSON number, or null (what the writer prints for a NaN or infinite
+  /// value), read as NaN.
   double number() {
     skip_ws();
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
-    return value;
+    if (text_.compare(pos_, 4, "null") == 0) {
+      pos_ += 4;
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return json_number();
+  }
+
+  /// A non-negative integral number below 2^53 (a count, depth or span
+  /// index); `allow_minus_one` also takes -1, the writer's "no parent".
+  /// Returns -1 as kNoParent.
+  std::size_t index(bool allow_minus_one = false) {
+    skip_ws();
+    const double value = json_number();
+    if (allow_minus_one && value == -1.0) return kNoParent;
+    if (!(value >= 0.0) || value != std::floor(value) || value >= 0x1p53) {
+      fail("expected a non-negative integer");
+    }
+    return static_cast<std::size_t>(value);
   }
 
   bool boolean() {
@@ -132,6 +152,14 @@ class Cursor {
       return false;
     }
     fail("expected a boolean");
+  }
+
+  double json_number() {
+    double value = 0.0;
+    const std::size_t length = parse_json_number(text_, pos_, value);
+    if (length == 0) fail("expected a number");
+    pos_ += length;
+    return value;
   }
 
   void finish() {
@@ -171,11 +199,9 @@ SpanRecord parse_span(Cursor& c) {
     if (key == "name") {
       span.name = c.string();
     } else if (key == "parent") {
-      const double parent = c.number();
-      span.parent =
-          parent < 0 ? kNoParent : static_cast<std::size_t>(parent);
+      span.parent = c.index(/*allow_minus_one=*/true);
     } else if (key == "depth") {
-      span.depth = static_cast<std::size_t>(c.number());
+      span.depth = c.index();
     } else if (key == "start_us") {
       span.start_us = c.number();
     } else if (key == "duration_us") {
@@ -197,7 +223,7 @@ HistogramData parse_histogram(Cursor& c) {
     const std::string key = c.string();
     c.expect(':');
     if (key == "count") {
-      h.count = static_cast<std::size_t>(c.number());
+      h.count = c.index();
     } else if (key == "sum") {
       h.sum = c.number();
     } else if (key == "min") {

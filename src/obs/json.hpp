@@ -12,8 +12,11 @@
 //                    {"count": 4, "sum": 9.0, "min": 1.0, "max": 4.0}}
 //   }
 //
-// Doubles are written with max_digits10 precision so numeric values
-// round-trip bit-exactly.
+// Doubles are written with max_digits10 precision so finite values
+// round-trip bit-exactly; NaN and infinities, which JSON cannot spell, are
+// written as null and read back as NaN. The reader takes numbers in the
+// JSON grammar only (util/json_number.hpp) and "parent", "depth" and
+// "count" only as non-negative integers (parent also -1, no parent).
 #pragma once
 
 #include <iosfwd>

@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/json_number.hpp"
 
 namespace nck::serve {
 namespace {
@@ -90,19 +91,13 @@ class Cursor {
   double number() {
     skip_ws();
     if (!ok_) return 0.0;
-    // Accept exactly the JSON number grammar before handing the span to
-    // strtod: strtod alone also parses "inf", "nan", and hex floats like
-    // "0x1p4", which are not JSON and used to slip through the "strict"
-    // reader (found by the fuzz_serve_protocol harness).
-    const std::size_t begin_pos = json_number_extent();
-    if (!ok_) return 0.0;
-    const char* begin = text_.c_str() + begin_pos;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (static_cast<std::size_t>(end - begin) != pos_ - begin_pos) {
+    double value = 0.0;
+    const std::size_t length = parse_json_number(text_, pos_, value);
+    if (length == 0) {
       fail("expected a number");
       return 0.0;
     }
+    pos_ += length;
     return value;
   }
 
@@ -118,51 +113,6 @@ class Cursor {
     }
     fail("expected a boolean");
     return false;
-  }
-
-  /// Advances pos_ over one JSON-grammar number (-?int[.frac][e[±]exp])
-  /// and returns the start offset; fails without moving past the token on
-  /// anything else (leading '+', "inf", "nan", hex, a bare '.', ...).
-  std::size_t json_number_extent() {
-    const std::size_t begin = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const std::size_t int_begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == int_begin) {
-      pos_ = begin;
-      fail("expected a number");
-      return begin;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      const std::size_t frac_begin = pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-      if (pos_ == frac_begin) {
-        pos_ = begin;
-        fail("expected a number");
-        return begin;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      const std::size_t exp_begin = pos_;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-      if (pos_ == exp_begin) {
-        pos_ = begin;
-        fail("expected a number");
-        return begin;
-      }
-    }
-    return begin;
   }
 
   void finish() {

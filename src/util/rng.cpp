@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 std::uint64_t stream_seed(std::uint64_t base, std::uint64_t a,
@@ -34,23 +30,6 @@ std::uint64_t stream_seed(std::uint64_t base, std::uint64_t a,
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t x = seed;
   for (auto& w : s_) w = splitmix64(x);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {

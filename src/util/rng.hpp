@@ -5,6 +5,7 @@
 // reproducible from a single seed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -37,10 +38,24 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  // The draw and uniform() are defined here so that hot loops (the packed
+  // annealing sweep) keep the four state words in registers across draws.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "anneal/backend.hpp"
 #include "anneal/embedded_ising.hpp"
@@ -43,6 +45,75 @@ TEST(Pegasus, DegreeStructure) {
   EXPECT_EQ(max_degree, 15u);
   EXPECT_GT(degree15, g.num_vertices() / 3);  // bulk of the lattice
   EXPECT_TRUE(g.connected());
+}
+
+// FNV-1a over the vertex count, every adjacency list and the edge list.
+std::uint64_t graph_hash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(g.num_vertices());
+  for (Graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+    mix(g.degree(v));
+    for (Graph::Vertex u : g.neighbors(v)) mix(u);
+  }
+  mix(g.num_edges());
+  for (const auto& [a, b] : g.edges()) {
+    mix(a);
+    mix(b);
+  }
+  return h;
+}
+
+TEST(Pegasus, GraphsMatchRecordedBuildsBitForBit) {
+  // Recorded from the plain add_edge construction (full lattice, then the
+  // fabric prune through induced_subgraph) before the builder reserved
+  // exact degrees and built the fabric directly: same vertices, same
+  // adjacency order, same edge order.
+  struct Golden {
+    int m;
+    bool fabric_only;
+    std::size_t edges;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {2, true, 164, 0x2aee8865e401b7a9ull},
+      {2, false, 168, 0xd09820f42fa6e2bdull},
+      {3, true, 704, 0x772f1668fe9b186full},
+      {3, false, 720, 0xca566a772bd1d8efull},
+      {6, true, 4484, 0x42c66e794a642b6cull},
+      {6, false, 4536, 0x8465c0de217a6930ull},
+      {16, true, 40484, 0x601ba89133fba045ull},
+      {16, false, 40656, 0xd711311318c1f419ull},
+  };
+  for (const Golden& golden : goldens) {
+    const Graph g = pegasus_graph(golden.m, golden.fabric_only);
+    EXPECT_EQ(g.num_edges(), golden.edges) << "m " << golden.m;
+    EXPECT_EQ(graph_hash(g), golden.hash)
+        << "m " << golden.m << " fabric " << golden.fabric_only;
+  }
+}
+
+TEST(Pegasus, FabricIsTheInducedSubgraphOfTheFullLattice) {
+  for (int m : {2, 4, 7}) {
+    const Graph full = pegasus_graph(m, /*fabric_only=*/false);
+    std::vector<bool> has_internal(full.num_vertices(), false);
+    for (const auto& [a, b] : full.edges()) {
+      if (pegasus_coord(m, a).u != pegasus_coord(m, b).u) {
+        has_internal[a] = true;
+        has_internal[b] = true;
+      }
+    }
+    std::vector<Graph::Vertex> keep;
+    for (Graph::Vertex q = 0; q < full.num_vertices(); ++q) {
+      if (has_internal[q]) keep.push_back(q);
+    }
+    EXPECT_TRUE(pegasus_graph(m) == full.induced_subgraph(keep)) << "m " << m;
+  }
 }
 
 TEST(Pegasus, CoordinateRoundTrip) {

@@ -65,6 +65,8 @@ TEST(FuzzRegressions, WireNumbersMustBeJsonGrammar) {
            R"json({"op":"stats","id":1.})json",
            R"json({"op":"stats","id":.5})json",
            R"json({"op":"stats","id":1e})json",
+           R"json({"op":"stats","id":01})json",
+           R"json({"op":"stats","deadline_ms":-007})json",
        }) {
     EXPECT_FALSE(serve::parse_request(line, request, why)) << line;
     EXPECT_FALSE(why.empty()) << line;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -51,6 +54,56 @@ TEST(Graph, InducedSubgraph) {
   const Graph sub = g.induced_subgraph(keep);
   EXPECT_EQ(sub.num_vertices(), 3u);
   EXPECT_EQ(sub.num_edges(), 3u);  // K3
+}
+
+// Replays `g`'s edge list through plain add_edge calls on an unreserved
+// graph: the order every builder must reproduce.
+Graph plain_rebuild(const Graph& g) {
+  Graph plain(g.num_vertices());
+  for (const auto& [u, v] : g.edges()) plain.add_edge(u, v);
+  return plain;
+}
+
+TEST(Graph, ReserveChangesNoVertexEdgeOrOrder) {
+  Rng rng(3);
+  const Graph g = random_gnm(40, 200, rng);
+  Graph reserved(g.num_vertices());
+  std::vector<std::size_t> degrees(g.num_vertices());
+  for (Graph::Vertex v = 0; v < g.num_vertices(); ++v) degrees[v] = g.degree(v);
+  reserved.reserve(degrees, g.num_edges());
+  for (const auto& [u, v] : g.edges()) reserved.add_edge(v, u);
+  EXPECT_TRUE(reserved == g);
+  EXPECT_TRUE(plain_rebuild(g) == g);
+  // Short or empty degree lists reserve less and change nothing either.
+  Graph partial(3);
+  partial.reserve(std::vector<std::size_t>{5}, 1);
+  partial.reserve({}, 0);
+  EXPECT_TRUE(partial.add_edge(2, 0));
+  EXPECT_EQ(partial.neighbors(0).size(), 1u);
+}
+
+TEST(Graph, InducedSubgraphMatchesPlainAddEdgeBuild) {
+  Rng rng(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Graph g = random_gnm(30, 120, rng);
+    std::vector<Graph::Vertex> keep;
+    for (Graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (rng.bernoulli(0.6)) keep.push_back(v);
+    }
+    if (trial % 2 == 1) rng.shuffle(keep);  // non-monotone renumbering
+    std::vector<std::int64_t> remap(g.num_vertices(), -1);
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+      remap[keep[i]] = static_cast<std::int64_t>(i);
+    }
+    Graph plain(keep.size());
+    for (const auto& [u, v] : g.edges()) {
+      if (remap[u] >= 0 && remap[v] >= 0) {
+        plain.add_edge(static_cast<Graph::Vertex>(remap[u]),
+                       static_cast<Graph::Vertex>(remap[v]));
+      }
+    }
+    EXPECT_TRUE(g.induced_subgraph(keep) == plain) << "trial " << trial;
+  }
 }
 
 TEST(UnionFind, UniteAndCount) {

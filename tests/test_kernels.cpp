@@ -1,6 +1,8 @@
 // Golden and regression tests for the hardware-fast hot loops: the
 // bit-packed parallel-tempering annealer (anneal/packed.hpp) against the
-// scalar IsingModel energy, the fused diagonal QAOA kernel
+// scalar IsingModel energy and, bitwise, against the scalar libm-exp sweep
+// it replaced (plus the exp-free acceptance against u < exp(-x)), the
+// fused diagonal QAOA kernel
 // (circuit/diagonal.hpp) against per-gate application and, bitwise,
 // against the scalar table/phase/mixer loops it replaced, the beta-schedule
 // endpoint fix, the deep-p norm-drift fix, and the determinism contracts of
@@ -13,6 +15,7 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -656,6 +659,197 @@ TEST(SamplerDeterminism, SingleReplicaPathStillDeterministic) {
   Rng a(31), b(31);
   EXPECT_TRUE(reads_identical(sample_annealer(fx.logical, fx.problem, options, a),
                               sample_annealer(fx.logical, fx.problem, options, b)));
+}
+
+// ------------------------------------------ Packed sweep bit-identity pins
+
+// x on every 1/64 grid point up to past the cutoff, one ulp either side of
+// it, and midway to the next one; then the cutoff, the exp underflow
+// threshold (about 745.13), infinities, NaN and negative x.
+std::vector<double> accept_probe_xs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs;
+  for (int k = 0; k <= 40 * 64 + 2; ++k) {
+    const double grid = k / 64.0;
+    xs.push_back(grid);
+    xs.push_back(std::nextafter(grid, 0.0));
+    xs.push_back(std::nextafter(grid, inf));
+    xs.push_back((k + 0.5) / 64.0);
+  }
+  for (double x : {39.999, 40.5, 41.0, 100.0, 700.0, 744.4, 745.1, 745.2,
+                   746.0, 1e308, inf, -0.0, 1e-300, 5e-324, -1e-300, -0.5,
+                   -inf, std::numeric_limits<double>::quiet_NaN()}) {
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+TEST(AcceptDraw, MatchesExpCompareAtAndAroundExpOfX) {
+  // u = exp(-x) and its neighbours sit on the decision edge: the bracket
+  // must hand every one of them to exp, and the answer must be exp's.
+  // Draws are multiples of 2^-53 in [0, 1), so u below 2^-53 is only
+  // tried as 0 (a real draw) once exp(-x) falls under it.
+  for (double x : accept_probe_xs()) {
+    const double e = std::exp(-x);
+    std::vector<double> us = {0.0, 0x1p-53, 0.5, 1.0 - 0x1p-53};
+    for (double u : {e, std::nextafter(e, -1.0), std::nextafter(e, 1.0)}) {
+      if (u >= 0x1p-53 && u < 1.0) us.push_back(u);
+    }
+    for (double u : us) {
+      EXPECT_EQ(metropolis_accept(x, u), u < std::exp(-x))
+          << "x " << x << " u " << u;
+    }
+  }
+}
+
+TEST(AcceptDraw, MatchesExpCompareOnRandomDraws) {
+  Rng rng(64);
+  for (int trial = 0; trial < 2'000'000; ++trial) {
+    const double x = trial % 2 == 0 ? rng.uniform(0.0, 45.0)
+                                    : rng.uniform(0.0, 0.25);
+    const double u = rng.uniform();
+    ASSERT_EQ(metropolis_accept(x, u), u < std::exp(-x))
+        << "x " << x << " u " << u;
+  }
+}
+
+// Scalar copy of the Metropolis sweep as it stood before the
+// register-resident kernel: spins read and written through the state on
+// every proposal, libm exp on every uphill one.
+void reference_sweep(const PackedWorkspace& workspace, PackedState& state,
+                     double beta, Rng& rng) {
+  const PackedIsing& packed = workspace.packed();
+  const std::vector<double>& jw = workspace.coupler_weights();
+  for (std::size_t i = 0; i < packed.num_spins(); ++i) {
+    const double s = state.up(i) ? 1.0 : -1.0;
+    const double d = -2.0 * s * state.field[i];
+    if (d <= 0.0 || rng.uniform() < std::exp(-beta * d)) {
+      state.toggle(i);
+      state.energy += d;
+      const double shift = -2.0 * s;
+      for (std::uint32_t k = packed.offsets[i]; k < packed.offsets[i + 1];
+           ++k) {
+        state.field[packed.neighbors[k]] += shift * jw[packed.coupler_of[k]];
+      }
+    }
+  }
+}
+
+bool bitwise_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(PackedBitIdentity, SweepMatchesScalarReferenceAtEveryLadderBeta) {
+  // 200 random embedded-style problems of 1 to 150 spins (one to three
+  // words), each under a random gauge, ICE noise and a scale that spreads
+  // beta * dE from far below 1/64 to far above 40; every ladder rung runs
+  // three sweeps through both kernels from the same state and stream.
+  Rng gen(909);
+  const std::vector<double> ladder = tempering_ladder(TemperingOptions{});
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(trial * 37) % 150;
+    const IsingModel model = random_embedded_ising(n, gen);
+    const PackedIsing packed(model);
+    PackedWorkspace workspace(packed);
+    const double scale = std::exp(gen.uniform(-2.5, 3.0));
+    workspace.load_program(trial % 3 != 0, 0.05, scale, gen);
+
+    PackedState fast;
+    fast.words.resize(packed.num_words());
+    fast.field.resize(n);
+    workspace.randomize(fast, gen);
+    workspace.refresh(fast);
+    PackedState slow = fast;
+    Rng fast_rng(gen());
+    Rng slow_rng = fast_rng;
+
+    for (double beta : ladder) {
+      for (int rep = 0; rep < 3; ++rep) {
+        workspace.sweep(fast, beta, fast_rng);
+        reference_sweep(workspace, slow, beta, slow_rng);
+      }
+      ASSERT_EQ(fast.words, slow.words)
+          << "trial " << trial << " beta " << beta;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(bitwise_equal(fast.field[i], slow.field[i]))
+            << "trial " << trial << " beta " << beta << " spin " << i;
+      }
+      ASSERT_TRUE(bitwise_equal(fast.energy, slow.energy))
+          << "trial " << trial << " beta " << beta;
+      Rng fast_next = fast_rng;
+      Rng slow_next = slow_rng;
+      ASSERT_EQ(fast_next(), slow_next()) << "trial " << trial;
+    }
+  }
+}
+
+// FNV-1a over every field of every read, in result order.
+std::uint64_t reads_hash(const AnnealSampleResult& result) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const AnnealRead& read : result.reads) {
+    mix(read.read_index);
+    mix(read.logical.size());
+    for (bool bit : read.logical) mix(bit ? 1u : 0u);
+    mix(std::bit_cast<std::uint64_t>(read.logical_energy));
+    mix(read.chain_breaks);
+    mix(read.chain_ties);
+  }
+  return h;
+}
+
+TEST(PackedBitIdentity, SampleAnnealerReadsMatchRecordedGoldenHash) {
+  // Recorded from the scalar sweep (libm exp on every uphill proposal)
+  // before the exp-free, register-resident kernel replaced it: any change
+  // to an accept decision, a draw or the arithmetic order moves the hash.
+  const SamplerFixture fx;
+  Rng gen(4242);
+  IsingModel logical;
+  logical.h.resize(10);
+  for (double& h : logical.h) h = gen.uniform(-1.0, 1.0);
+  for (std::uint32_t a = 0; a < 10; ++a) {
+    for (std::uint32_t b = a + 1; b < 10; ++b) {
+      if (gen.bernoulli(0.4)) {
+        logical.j.emplace_back(a, b, gen.uniform(-1.0, 1.0));
+      }
+    }
+  }
+  Graph logical_graph(10);
+  for (const auto& [a, b, w] : logical.j) logical_graph.add_edge(a, b);
+  const Graph physical = pegasus_graph(3);
+  Rng embed_rng(8);
+  const auto embedding = find_embedding(logical_graph, physical, embed_rng);
+  ASSERT_TRUE(embedding.has_value());
+  const EmbeddedProblem problem = embed_ising(logical, *embedding, physical);
+
+  AnnealerSamplerOptions tempered;
+  tempered.num_reads = 24;
+  tempered.num_sweeps = 256;
+  AnnealerSamplerOptions ramp = tempered;
+  ramp.num_replicas = 1;
+  AnnealerSamplerOptions clean = tempered;
+  clean.ice_sigma = 0.0;
+  clean.spin_reversal_transform = false;
+  clean.beta_final = 40.0;
+
+  std::vector<std::uint64_t> hashes;
+  for (const AnnealerSamplerOptions* options : {&tempered, &ramp, &clean}) {
+    Rng small_rng(1234);
+    hashes.push_back(reads_hash(
+        sample_annealer(fx.logical, fx.problem, *options, small_rng)));
+    Rng large_rng(99);
+    hashes.push_back(
+        reads_hash(sample_annealer(logical, problem, *options, large_rng)));
+  }
+  const std::vector<std::uint64_t> golden = {
+      0xfaaac0811b5ac6fbull, 0x30062584df4c9bedull, 0x5de84723ee06f5e5ull,
+      0xc146426dac6abe55ull, 0x3846632353429e0bull, 0xe23a711b55a1561cull};
+  EXPECT_EQ(hashes, golden);
 }
 
 }  // namespace

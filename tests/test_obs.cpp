@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -277,6 +279,84 @@ TEST(TraceJson, ReaderRejectsEveryTruncationOfAValidDocument) {
         << "prefix of length " << len << " was accepted";
   }
   EXPECT_NO_THROW(obs::trace_from_json(good));
+}
+
+// Minimal documents holding one counter value, one span or one histogram.
+std::string counter_doc(const std::string& value) {
+  return "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\":" + value + "}}";
+}
+std::string span_doc(const std::string& fields) {
+  return "{\"schema\":\"nck-trace-v1\",\"spans\":[{\"name\":\"s\"," +
+         fields + "}]}";
+}
+std::string histogram_doc(const std::string& count) {
+  return "{\"schema\":\"nck-trace-v1\",\"histograms\":{\"h\":{\"count\":" +
+         count + ",\"sum\":1}}}";
+}
+
+TEST(TraceJson, ReaderRejectsNumbersOutsideTheJsonGrammar) {
+  // strtod alone takes every one of these; JSON takes none of them.
+  for (const char* value : {"nan", "NaN", "inf", "-inf", "Infinity", "0x1p4",
+                            "-0x10", "+1", ".5", "1.", "1e", "1e+", "-",
+                            "- 1", "nul", "01", "-012", "00.5"}) {
+    EXPECT_THROW(obs::trace_from_json(counter_doc(value)), std::runtime_error)
+        << value;
+  }
+  for (const char* value :
+       {"0", "-0", "0.5", "1.5", "-2.5e-3", "1E+2", "12e0", "10", "0e5"}) {
+    EXPECT_NO_THROW(obs::trace_from_json(counter_doc(value))) << value;
+  }
+}
+
+TEST(TraceJson, ReaderRejectsNegativeOrFractionalIndices) {
+  // depth, parent and count are indices: casting -1 or 1.5 to size_t was
+  // undefined behavior; only parent's -1 ("no parent") is allowed.
+  for (const char* fields :
+       {"\"depth\":-1", "\"depth\":1.5", "\"depth\":null", "\"depth\":1e300",
+        "\"depth\":9007199254740992", "\"parent\":-2", "\"parent\":0.5",
+        "\"parent\":-1.5", "\"parent\":null"}) {
+    EXPECT_THROW(obs::trace_from_json(span_doc(fields)), std::runtime_error)
+        << fields;
+  }
+  for (const char* count : {"-1", "2.5", "null", "1e20"}) {
+    EXPECT_THROW(obs::trace_from_json(histogram_doc(count)),
+                 std::runtime_error)
+        << count;
+  }
+  const obs::TraceData ok = obs::trace_from_json(
+      span_doc("\"parent\":-1,\"depth\":0,\"start_us\":0,"
+               "\"duration_us\":1,\"modeled\":false"));
+  ASSERT_EQ(ok.spans.size(), 1u);
+  EXPECT_EQ(ok.spans[0].parent, obs::kNoParent);
+  EXPECT_EQ(obs::trace_from_json(span_doc("\"parent\":3,\"depth\":1e1"))
+                .spans[0].depth,
+            10u);
+  EXPECT_EQ(obs::trace_from_json(histogram_doc("7")).histograms.at("h").count,
+            7u);
+}
+
+TEST(TraceJson, NonFiniteValuesAreWrittenAsNullAndReadBackAsNaN) {
+  obs::TraceData trace = sample_trace();
+  const double inf = std::numeric_limits<double>::infinity();
+  trace.gauges["ratio"] = std::numeric_limits<double>::quiet_NaN();
+  trace.counters["overflow"] = inf;
+  trace.histograms["h"] = {2, -inf, -inf, 1.0};
+  trace.spans[0].duration_us = inf;
+  const std::string text = obs::trace_to_json(trace);
+  for (const char* bare : {"nan", "inf"}) {
+    EXPECT_EQ(text.find(bare), std::string::npos) << text;
+  }
+  EXPECT_NE(text.find("\"ratio\":null"), std::string::npos) << text;
+
+  const obs::TraceData back = obs::trace_from_json(text);
+  EXPECT_TRUE(std::isnan(back.gauges.at("ratio")));
+  EXPECT_TRUE(std::isnan(back.counters.at("overflow")));
+  EXPECT_TRUE(std::isnan(back.histograms.at("h").sum));
+  EXPECT_EQ(back.histograms.at("h").max, 1.0);
+  EXPECT_TRUE(std::isnan(back.spans[0].duration_us));
+  EXPECT_EQ(back.gauges.at("qaoa.fidelity"), trace.gauges.at("qaoa.fidelity"));
+  // NaN writes as null again: the text is a fixed point.
+  EXPECT_EQ(obs::trace_to_json(back), text);
 }
 
 TEST(TraceJson, PrintTraceRendersTables) {
