@@ -14,7 +14,9 @@
 //
 // Then the annealing kernel on its own: the retired scalar loop against
 // the packed tempering kernel, and the packed sweep's cost per proposal at
-// each tempering rung.
+// each tempering rung. Last, minor embedding on its own: find_embedding
+// wall time per annealer batch family on the Advantage 4.1 analogue, and
+// the cost of one edge relaxation of the router's shortest-path search.
 //
 // Writes BENCH_batch.json (override with --out=<file>); CI validates the
 // JSON and checks the cold/warm speedup floor.
@@ -29,13 +31,18 @@
 #include <thread>
 #include <vector>
 
+#include "anneal/backend.hpp"
+#include "anneal/embedding.hpp"
 #include "anneal/packed.hpp"
+#include "anneal/topology.hpp"
+#include "harness.hpp"
 #include "graph/generators.hpp"
 #include "problems/max_cut.hpp"
 #include "problems/vertex_cover.hpp"
 #include "qubo/heuristic.hpp"
 #include "qubo/ising.hpp"
 #include "runtime/pool.hpp"
+#include "synth/engine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -206,6 +213,76 @@ KernelTimings kernel_study(const std::string& label, const Graph& g) {
   return k;
 }
 
+/// find_embedding on one family: wall time over seeds, and wall time per
+/// edge relaxation of the router's searches (about 96% of embedding time
+/// is spent in them).
+struct EmbedCost {
+  std::string label;
+  Summary ms;
+  double relaxations = 0.0;  // median over seeds
+  double ns_per_relaxation = 0.0;
+};
+
+constexpr std::uint64_t kEmbedSeeds = 9;
+
+/// The annealer batch families (the batch-cold workload's list, random
+/// families at the harness seeds), each compiled and presolved as a solve
+/// prepares it, then embedded at kEmbedSeeds seeds. Only find_embedding is
+/// timed: the device's working graph is built once, outside the timer.
+std::vector<EmbedCost> embedding_study() {
+  std::vector<bench::Instance> families;
+  const auto take = [&](std::vector<bench::Instance> sized) {
+    families.push_back(std::move(sized.back()));
+  };
+  for (const char* problem : {"max-cut", "min-vertex-cover"}) {
+    take(bench::graph_instances(problem, 9));
+    take(bench::graph_instances(problem, 15));
+  }
+  take(bench::graph_instances("map-coloring", 9));
+  take(bench::graph_instances("clique-cover", 9));
+  for (const char* problem : {"exact-cover", "min-set-cover"}) {
+    take(bench::cover_instances(problem, 6));
+    take(bench::cover_instances(problem, 12));
+  }
+  take(bench::ksat_instances(4));
+  take(bench::ksat_instances(8));
+
+  Rng device_rng(0xD3071CEull);  // the Solver's device
+  const Device device = advantage_4_1(device_rng);
+  const Graph working = device.working_graph();
+  SynthEngine engine;
+  std::vector<EmbedCost> costs;
+  for (const bench::Instance& inst : families) {
+    Rng prepare_rng(0);
+    const AnnealPrepared prepared =
+        prepare_annealer(inst.env, device, engine, prepare_rng);
+    Graph logical(prepared.num_sampled_vars);
+    for (const auto& [a, b, w] : prepared.logical.j) logical.add_edge(a, b);
+    std::vector<double> ms, relaxations;
+    for (std::uint64_t seed = 1; seed <= kEmbedSeeds; ++seed) {
+      Rng rng(seed);
+      Timer timer;
+      const auto embedding = find_embedding(logical, working, rng);
+      ms.push_back(timer.milliseconds());
+      relaxations.push_back(
+          embedding ? static_cast<double>(embedding->relaxations) : 0.0);
+    }
+    EmbedCost cost;
+    cost.label = inst.problem + " " + inst.label;
+    cost.ms = summarize(ms);
+    cost.relaxations = summarize(relaxations).median;
+    double total_ms = 0.0, total_relaxations = 0.0;
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      total_ms += ms[i];
+      total_relaxations += relaxations[i];
+    }
+    cost.ns_per_relaxation =
+        total_relaxations > 0.0 ? total_ms * 1e6 / total_relaxations : 0.0;
+    costs.push_back(cost);
+  }
+  return costs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -305,6 +382,24 @@ int main(int argc, char** argv) {
             << " sweeps per rung after " << kRungWarmSweeps
             << " warm-up sweeps; median and p10-p90 over blocks)\n";
 
+  std::cout << "\n=== Minor embedding per batch family ===\n\n";
+  const std::vector<EmbedCost> embeds = embedding_study();
+  Table embed_table(
+      {"family", "embed(ms)", "p10-p90", "relaxations", "ns/relaxation"});
+  for (const EmbedCost& e : embeds) {
+    embed_table.row()
+        .cell(e.label)
+        .cell(e.ms.median, 2)
+        .cell(format_double(e.ms.p10, 2) + "-" + format_double(e.ms.p90, 2))
+        .cell(e.relaxations, 0)
+        .cell(e.ns_per_relaxation, 2);
+  }
+  embed_table.print(std::cout);
+  std::cout << "\n(" << kEmbedSeeds
+            << " embedding seeds per family on the Advantage 4.1 analogue; "
+               "median and p10-p90 over seeds; ns per relaxation is the "
+               "family's total embedding time over its total relaxations)\n";
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "bench_batch: cannot write " << out_path << "\n";
@@ -344,6 +439,15 @@ int main(int argc, char** argv) {
           << ",\"accept_rate\":" << rung.accept_rate << "}";
     }
     out << "]}";
+  }
+  out << "],\"embedding\":[";
+  for (std::size_t i = 0; i < embeds.size(); ++i) {
+    const EmbedCost& e = embeds[i];
+    if (i) out << ",";
+    out << "{\"family\":\"" << e.label << "\",\"seeds\":" << kEmbedSeeds
+        << ",\"ms\":" << e.ms.median << ",\"ms_p10\":" << e.ms.p10
+        << ",\"ms_p90\":" << e.ms.p90 << ",\"relaxations\":" << e.relaxations
+        << ",\"ns_per_relaxation\":" << e.ns_per_relaxation << "}";
   }
   out << "]}\n";
   std::cout << "\nwrote " << out_path << "\n";

@@ -19,7 +19,7 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export ASAN_OPTIONS="detect_leaks=1"
 
 status=0
-for harness in fuzz_parse fuzz_serve_protocol fuzz_differential; do
+for harness in fuzz_parse fuzz_serve_protocol fuzz_trace_json fuzz_differential; do
   bin="$build_dir/fuzz/$harness"
   corpus="$repo_dir/tests/corpus/$harness"
   if [[ ! -x "$bin" ]]; then

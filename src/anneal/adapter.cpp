@@ -49,6 +49,11 @@ bool AnnealAdapter::validate(std::string* why) const {
   if (std::isnan(s.ice_sigma) || s.ice_sigma < 0.0) {
     return reject("ice_sigma must be >= 0");
   }
+  std::string embed_why;
+  if (!finite_nonnegative(options_->embed.penalty_base, "embed penalty_base",
+                          &embed_why)) {
+    return reject(embed_why);
+  }
   return true;
 }
 

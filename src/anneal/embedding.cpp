@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -26,43 +26,114 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One shortest-path field: distance from a source chain to every qubit,
-// where entering qubit q costs weight[q]. parent[q] reconstructs the path
-// back towards the source chain (source qubits have parent == themselves).
-struct DistField {
-  std::vector<double> dist;
-  std::vector<Graph::Vertex> parent;
-};
+}  // namespace
 
-DistField dijkstra_from_chain(const Graph& physical,
-                              const std::vector<Graph::Vertex>& sources,
-                              const std::vector<double>& weight) {
-  const std::size_t n = physical.num_vertices();
-  DistField field;
+ChainSearch::ChainSearch(const Graph& graph) {
+  const std::size_t n = graph.num_vertices();
+  offsets_.reserve(n + 1);
+  targets_.reserve(2 * graph.num_edges());
+  offsets_.push_back(0);
+  for (std::size_t q = 0; q < n; ++q) {
+    for (Graph::Vertex w : graph.neighbors(static_cast<Graph::Vertex>(q))) {
+      targets_.push_back(w);
+    }
+    offsets_.push_back(static_cast<std::uint32_t>(targets_.size()));
+  }
+}
+
+// Entering a qubit costs its class weight c >= 0, so a qubit reached from
+// a popped qubit at distance d gets fl(d + c) >= d, and pops come in
+// nondecreasing distance. Round-to-nearest addition is monotone, so the
+// first reach already fixes dist[w] and parent[w]: every qubit is pushed
+// once, and the keys pushed into one class arrive nondecreasing, which is
+// what lets a FIFO per class stand in for the heap. The heap pops equal
+// keys by id; a level collects every queued qubit at the current minimum
+// key D and pops it in id order, and a qubit that joins the level while it
+// is popped (fl(D + c) == D: a zero weight, or D so large that the step is
+// absorbed) goes through a small id heap merged into that order. So the
+// pops, and with them every parent tie-break, are the heap's.
+std::uint64_t ChainSearch::run(std::span<const Graph::Vertex> sources,
+                               std::span<const unsigned> usage,
+                               std::span<const double> class_weight,
+                               DistField& field) {
+  const std::size_t n = offsets_.size() - 1;
   field.dist.assign(n, kInf);
   field.parent.assign(n, 0);
-  using Item = std::pair<double, Graph::Vertex>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  for (Graph::Vertex s : sources) {
-    field.dist[s] = 0.0;  // already part of the chain: free
-    field.parent[s] = s;
-    pq.emplace(0.0, s);
+  double* const dist = field.dist.data();
+  Graph::Vertex* const parent = field.parent.data();
+  const std::uint32_t* const offsets = offsets_.data();
+  const Graph::Vertex* const targets = targets_.data();
+  const unsigned* const use = usage.data();
+  const double* const weight = class_weight.data();
+
+  const std::size_t classes = class_weight.size();
+  if (fifo_.size() < classes) {
+    fifo_.resize(classes);
+    fifo_head_.resize(classes);
   }
-  while (!pq.empty()) {
-    const auto [d, q] = pq.top();
-    pq.pop();
-    if (d > field.dist[q]) continue;
-    for (Graph::Vertex w : physical.neighbors(q)) {
-      const double nd = d + weight[w];
-      if (nd < field.dist[w]) {
-        field.dist[w] = nd;
-        field.parent[w] = q;
-        pq.emplace(nd, w);
+  for (std::size_t c = 0; c < classes; ++c) {
+    fifo_[c].clear();
+    fifo_head_[c] = 0;
+  }
+
+  level_.assign(sources.begin(), sources.end());
+  for (Graph::Vertex s : sources) {
+    dist[s] = 0.0;  // already part of the chain: free
+    parent[s] = s;
+  }
+  double level_key = 0.0;
+  std::uint64_t relaxations = 0;
+  while (!level_.empty()) {
+    std::sort(level_.begin(), level_.end());
+    joiners_.clear();
+    std::size_t next = 0;
+    while (next < level_.size() || !joiners_.empty()) {
+      Graph::Vertex q;
+      if (!joiners_.empty() &&
+          (next == level_.size() || joiners_.front() < level_[next])) {
+        std::pop_heap(joiners_.begin(), joiners_.end(), std::greater<>());
+        q = joiners_.back();
+        joiners_.pop_back();
+      } else {
+        q = level_[next++];
+      }
+      relaxations += offsets[q + 1] - offsets[q];
+      for (std::uint32_t e = offsets[q]; e < offsets[q + 1]; ++e) {
+        const Graph::Vertex w = targets[e];
+        if (dist[w] != kInf) continue;  // reached: fl(d + c) >= dist[w]
+        const double nd = level_key + weight[use[w]];
+        if (nd == kInf) continue;  // unreached, as inf < inf is false
+        dist[w] = nd;
+        parent[w] = q;
+        if (nd == level_key) {
+          joiners_.push_back(w);
+          std::push_heap(joiners_.begin(), joiners_.end(), std::greater<>());
+        } else {
+          fifo_[use[w]].push_back(w);
+        }
+      }
+    }
+
+    // The next level: every FIFO head at the least queued key.
+    level_.clear();
+    level_key = kInf;
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (fifo_head_[c] < fifo_[c].size()) {
+        level_key = std::min(level_key, dist[fifo_[c][fifo_head_[c]]]);
+      }
+    }
+    for (std::size_t c = 0; c < classes; ++c) {
+      const std::vector<Graph::Vertex>& fifo = fifo_[c];
+      std::size_t& head = fifo_head_[c];
+      while (head < fifo.size() && dist[fifo[head]] == level_key) {
+        level_.push_back(fifo[head++]);
       }
     }
   }
-  return field;
+  return relaxations;
 }
+
+namespace {
 
 // BFS order over the logical graph from a max-degree root: neighbors get
 // routed near each other on the first pass instead of landing at random.
@@ -101,7 +172,14 @@ class Embedder {
  public:
   Embedder(const Graph& logical, const Graph& physical, Rng& rng,
            const EmbedOptions& options)
-      : logical_(logical), physical_(physical), rng_(rng), options_(options) {}
+      : logical_(logical),
+        physical_(physical),
+        rng_(rng),
+        options_(options),
+        search_(physical),
+        in_chain_(physical.num_vertices(), 0) {}
+
+  std::uint64_t relaxations() const { return relaxations_; }
 
   std::optional<Embedding> run() {
     const std::size_t n = logical_.num_vertices();
@@ -283,34 +361,38 @@ class Embedder {
     for (Graph::Vertex q : chains_[v]) ++usage_[q];
   }
 
-  // Weight of stepping onto a qubit: usable qubits cost penalty^usage;
-  // isolated (defective) qubits are unreachable by construction.
-  std::vector<double> qubit_weights(double penalty) const {
-    std::vector<double> w(physical_.num_vertices());
-    for (std::size_t q = 0; q < w.size(); ++q) {
-      w[q] = std::pow(penalty, static_cast<double>(usage_[q]));
+  // Weight of stepping onto a qubit: usable qubits cost penalty^usage,
+  // computed once per usage value; isolated (defective) qubits are
+  // unreachable by construction.
+  void set_class_weights(double penalty) {
+    unsigned top = 0;
+    for (unsigned u : usage_) top = std::max(top, u);
+    class_weight_.resize(top + std::size_t{1});
+    for (unsigned u = 0; u <= top; ++u) {
+      class_weight_[u] = std::pow(penalty, static_cast<double>(u));
     }
-    return w;
   }
+
+  double weight(std::size_t q) const { return class_weight_[usage_[q]]; }
 
   void route_variable(Graph::Vertex v, double penalty) {
     drop_chain(v);
 
     // Collect embedded neighbors.
-    std::vector<Graph::Vertex> nbrs;
+    nbrs_.clear();
     for (Graph::Vertex u : logical_.neighbors(v)) {
-      if (!chains_[u].empty()) nbrs.push_back(u);
+      if (!chains_[u].empty()) nbrs_.push_back(u);
     }
 
-    const std::vector<double> weight = qubit_weights(penalty);
+    set_class_weights(penalty);
 
-    if (nbrs.empty()) {
+    if (nbrs_.empty()) {
       // Nothing to connect to yet: claim the least-used usable qubit.
       Graph::Vertex best = 0;
       double best_w = kInf;
-      for (std::size_t q = 0; q < weight.size(); ++q) {
+      for (std::size_t q = 0; q < usage_.size(); ++q) {
         if (physical_.degree(static_cast<Graph::Vertex>(q)) == 0) continue;
-        const double jitter = weight[q] * (1.0 + 0.01 * rng_.uniform());
+        const double jitter = weight(q) * (1.0 + 0.01 * rng_.uniform());
         if (jitter < best_w) {
           best_w = jitter;
           best = static_cast<Graph::Vertex>(q);
@@ -321,20 +403,21 @@ class Embedder {
     }
 
     // One shortest-path field per embedded neighbor chain.
-    std::vector<DistField> fields;
-    fields.reserve(nbrs.size());
-    for (Graph::Vertex u : nbrs) {
-      fields.push_back(dijkstra_from_chain(physical_, chains_[u], weight));
+    if (fields_.size() < nbrs_.size()) fields_.resize(nbrs_.size());
+    for (std::size_t i = 0; i < nbrs_.size(); ++i) {
+      relaxations_ +=
+          search_.run(chains_[nbrs_[i]], usage_, class_weight_, fields_[i]);
     }
+    const std::span<const DistField> fields(fields_.data(), nbrs_.size());
 
     // Root = usable qubit minimizing (own weight + sum of distances).
     // A small random jitter breaks ties so chains don't pile onto the
     // lowest-index corner of the device.
     Graph::Vertex root = 0;
     double best_cost = kInf;
-    for (std::size_t q = 0; q < weight.size(); ++q) {
+    for (std::size_t q = 0; q < usage_.size(); ++q) {
       if (physical_.degree(static_cast<Graph::Vertex>(q)) == 0) continue;
-      double cost = weight[q];
+      double cost = weight(q);
       for (const auto& f : fields) {
         if (f.dist[q] == kInf) {
           cost = kInf;
@@ -360,18 +443,17 @@ class Embedder {
     // every qubit, so this costs nothing extra). This reuses path segments
     // instead of building a star of independent paths, which keeps chains
     // from ballooning.
-    std::vector<std::size_t> by_distance(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) by_distance[i] = i;
+    std::vector<std::size_t> by_distance(nbrs_.size());
+    for (std::size_t i = 0; i < nbrs_.size(); ++i) by_distance[i] = i;
     std::sort(by_distance.begin(), by_distance.end(),
               [&](std::size_t a, std::size_t b) {
                 return fields[a].dist[root] < fields[b].dist[root];
               });
 
-    std::vector<bool> in_chain(physical_.num_vertices(), false);
     std::vector<Graph::Vertex> chain;
     auto add = [&](Graph::Vertex q) {
-      if (!in_chain[q]) {
-        in_chain[q] = true;
+      if (!in_chain_[q]) {
+        in_chain_[q] = 1;
         chain.push_back(q);
       }
     };
@@ -389,13 +471,14 @@ class Embedder {
         q = p;
       }
     }
+    for (Graph::Vertex q : chain) in_chain_[q] = 0;
     adopt_chain(v, std::move(chain));
     if (log_level() <= LogLevel::kDebug) {
       for (Graph::Vertex q : chains_[v]) {
         if (usage_[q] > 1) {
           Log(LogLevel::kDebug)
               << "route v" << v << " adopted overlapping q" << q
-              << " (weight " << weight[q] << ", root " << root
+              << " (weight " << weight(q) << ", root " << root
               << ", best_cost " << best_cost << ", chain "
               << chains_[v].size() << ", penalty " << penalty << ")";
         }
@@ -409,6 +492,13 @@ class Embedder {
   EmbedOptions options_;
   std::vector<std::vector<Graph::Vertex>> chains_;
   std::vector<unsigned> usage_;
+  // Buffers reused by every route_variable call.
+  ChainSearch search_;
+  std::vector<DistField> fields_;
+  std::vector<double> class_weight_;  // by usage value
+  std::vector<Graph::Vertex> nbrs_;
+  std::vector<char> in_chain_;        // all zero between routes
+  std::uint64_t relaxations_ = 0;
 };
 
 }  // namespace
@@ -445,30 +535,39 @@ std::vector<Graph::Vertex> bfs_ball(const Graph& physical, std::size_t target,
 std::optional<Embedding> find_embedding(const Graph& logical,
                                         const Graph& physical, Rng& rng,
                                         const EmbedOptions& options) {
+  if (!std::isfinite(options.penalty_base) || options.penalty_base < 0.0) {
+    return std::nullopt;
+  }
   if (logical.num_vertices() == 0) return Embedding{};
 
+  std::uint64_t relaxations = 0;
   for (std::size_t attempt = 0; attempt < options.tries; ++attempt) {
     // Working on a compact subregion of a large device is dramatically
-    // faster (Dijkstra fields shrink) *and* yields shorter chains; the
+    // faster (distance fields shrink) *and* yields shorter chains; the
     // region grows geometrically across attempts, ending at the full
     // device.
     const std::size_t want =
         std::max<std::size_t>(128, logical.num_vertices() * 16)
         << (2 * attempt);
-    if (want < physical.num_vertices() && attempt + 1 < options.tries) {
-      const auto region = bfs_ball(physical, want, rng);
-      const Graph sub = physical.induced_subgraph(region);
-      Embedder embedder(logical, sub, rng, options);
-      if (auto result = embedder.run()) {
-        for (auto& chain : result->chains) {
-          for (auto& q : chain) q = region[q];  // back to device ids
-        }
-        return result;
-      }
-      continue;
+    const bool use_region =
+        want < physical.num_vertices() && attempt + 1 < options.tries;
+    std::vector<Graph::Vertex> region;
+    Graph sub;
+    if (use_region) {
+      region = bfs_ball(physical, want, rng);
+      sub = physical.induced_subgraph(region);
     }
-    Embedder embedder(logical, physical, rng, options);
-    if (auto result = embedder.run()) return result;
+    Embedder embedder(logical, use_region ? sub : physical, rng, options);
+    auto result = embedder.run();
+    relaxations += embedder.relaxations();
+    if (!result) continue;
+    if (use_region) {
+      for (auto& chain : result->chains) {
+        for (auto& q : chain) q = region[q];  // back to device ids
+      }
+    }
+    result->relaxations = relaxations;
+    return result;
   }
   return std::nullopt;
 }

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <queue>
 #include <vector>
 
 #include "anneal/backend.hpp"
@@ -9,10 +15,16 @@
 #include "anneal/embedding.hpp"
 #include "anneal/sampler.hpp"
 #include "anneal/topology.hpp"
+#include "decompose/decompose.hpp"
 #include "graph/generators.hpp"
+#include "problems/coloring.hpp"
+#include "problems/cover.hpp"
+#include "problems/ksat.hpp"
+#include "problems/max_cut.hpp"
 #include "problems/vertex_cover.hpp"
 #include "qubo/brute_force.hpp"
 #include "runtime/result.hpp"
+#include "synth/engine.hpp"
 #include "util/rng.hpp"
 
 namespace nck {
@@ -201,6 +213,21 @@ TEST(Embedding, FailsWhenImpossible) {
   EXPECT_FALSE(embedding.has_value());
 }
 
+TEST(Embedding, RejectsPenaltyBaseOutsideItsDomain) {
+  // A negative base gives negative qubit weights, under which shortest
+  // paths are undefined (on a triangle with one weight of -4 the old heap
+  // search popped without end). NaN and infinite bases are refused too.
+  const Graph logical = complete_graph(3);
+  const Graph physical = cycle_graph(6);
+  for (double base : {-4.0, -1e-300, std::nan(""), HUGE_VAL}) {
+    Rng rng(2);
+    EmbedOptions options;
+    options.penalty_base = base;
+    EXPECT_FALSE(find_embedding(logical, physical, rng, options).has_value())
+        << base;
+  }
+}
+
 TEST(Embedding, CliqueOnPegasus) {
   const Graph logical = complete_graph(8);
   const Graph physical = pegasus_graph(3);
@@ -249,6 +276,218 @@ TEST_P(EmbeddingProperty, RandomGraphsOnPegasus) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, EmbeddingProperty,
                          ::testing::Range(0, 15));
+
+// The binary-heap Dijkstra the router ran before ChainSearch replaced it,
+// kept as the reference whose fields ChainSearch must equal bit for bit.
+DistField heap_dijkstra(const Graph& physical,
+                        const std::vector<Graph::Vertex>& sources,
+                        const std::vector<double>& weight) {
+  const std::size_t n = physical.num_vertices();
+  DistField field;
+  field.dist.assign(n, std::numeric_limits<double>::infinity());
+  field.parent.assign(n, 0);
+  using Item = std::pair<double, Graph::Vertex>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  for (Graph::Vertex s : sources) {
+    field.dist[s] = 0.0;
+    field.parent[s] = s;
+    pq.emplace(0.0, s);
+  }
+  while (!pq.empty()) {
+    const auto [d, q] = pq.top();
+    pq.pop();
+    if (d > field.dist[q]) continue;
+    for (Graph::Vertex w : physical.neighbors(q)) {
+      const double nd = d + weight[w];
+      if (nd < field.dist[w]) {
+        field.dist[w] = nd;
+        field.parent[w] = q;
+        pq.emplace(nd, w);
+      }
+    }
+  }
+  return field;
+}
+
+TEST(ChainSearchBitIdentity, FieldsMatchHeapDijkstra) {
+  // Random regions (Pegasus patches with holes, so some qubits are
+  // isolated, and sparse random graphs), random usages and penalties:
+  // zero weights (base 0), weights below one (base 0.5), weights of 1e18
+  // that carry distances past 2^53 where unit steps are absorbed, and
+  // pow overflow to +inf. One ChainSearch serves every run on a region,
+  // so its reused buffers are exercised too.
+  constexpr double kTwo53 = 9007199254740992.0;
+  const double penalties[] = {0.0, 0.5, 1.0, 4.0, 16.0, 1e9};
+  const Graph pegasus = pegasus_graph(4);
+  Rng rng(2025);
+  std::size_t past_2_53 = 0, absorbed = 0, inf_weight = 0, unreached = 0,
+              multi_source = 0;
+  for (int region = 0; region < 60; ++region) {
+    Graph g;
+    if (region % 2 == 0) {
+      std::vector<Graph::Vertex> keep;
+      for (Graph::Vertex q = 0; q < pegasus.num_vertices(); ++q) {
+        if (rng.bernoulli(0.85)) keep.push_back(q);
+      }
+      g = pegasus.induced_subgraph(keep);
+    } else {
+      const std::size_t n = 2 + rng.below(120);
+      g = random_gnm(n, rng.below(std::min(3 * n, n * (n - 1) / 2) + 1), rng);
+    }
+    const std::size_t n = g.num_vertices();
+    ChainSearch search(g);
+    DistField field;
+    for (int run = 0; run < 12; ++run) {
+      const double penalty = penalties[rng.below(std::size(penalties))];
+      const auto top = static_cast<unsigned>(
+          rng.bernoulli(0.2) ? 40 : 1 + rng.below(4));
+      std::vector<unsigned> usage(n, 0);
+      for (unsigned& u : usage) {
+        if (rng.bernoulli(0.4)) u = static_cast<unsigned>(rng.below(top + 1));
+      }
+      std::vector<double> class_weight(top + 1);
+      for (unsigned u = 0; u <= top; ++u) {
+        class_weight[u] = std::pow(penalty, static_cast<double>(u));
+      }
+      std::vector<double> weight(n);
+      for (std::size_t q = 0; q < n; ++q) {
+        weight[q] = std::pow(penalty, static_cast<double>(usage[q]));
+        if (std::isinf(weight[q])) ++inf_weight;
+      }
+      std::vector<Graph::Vertex> sources;
+      const std::size_t want = 1 + rng.below(4);
+      while (sources.size() < want && sources.size() < n) {
+        const auto q = static_cast<Graph::Vertex>(rng.below(n));
+        if (std::find(sources.begin(), sources.end(), q) == sources.end()) {
+          sources.push_back(q);
+        }
+      }
+      if (sources.size() > 1) ++multi_source;
+
+      const DistField want_field = heap_dijkstra(g, sources, weight);
+      search.run(sources, usage, class_weight, field);
+      ASSERT_EQ(field.parent, want_field.parent)
+          << "region " << region << " run " << run;
+      for (std::size_t q = 0; q < n; ++q) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(field.dist[q]),
+                  std::bit_cast<std::uint64_t>(want_field.dist[q]))
+            << "region " << region << " run " << run << " qubit " << q;
+        const double d = field.dist[q];
+        if (std::isinf(d)) ++unreached;
+        if (std::isfinite(d) && d >= kTwo53) {
+          ++past_2_53;
+          const Graph::Vertex p = field.parent[q];
+          if (field.dist[p] == d && weight[q] > 0.0) ++absorbed;
+        }
+      }
+    }
+  }
+  // The draws reach every case the search treats specially.
+  EXPECT_GT(past_2_53, 0u);
+  EXPECT_GT(absorbed, 0u);
+  EXPECT_GT(inf_weight, 0u);
+  EXPECT_GT(unreached, 0u);
+  EXPECT_GT(multi_source, 0u);
+}
+
+// FNV-1a over the embedded flag and every chain's length and qubits, in
+// variable order.
+std::uint64_t chains_hash(const AnnealPrepared& prepared) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(prepared.embedded ? 1u : 0u);
+  mix(prepared.embedding.chains.size());
+  for (const auto& chain : prepared.embedding.chains) {
+    mix(chain.size());
+    for (Graph::Vertex q : chain) mix(q);
+  }
+  return h;
+}
+
+TEST(EmbeddingBitIdentity, ChainsMatchRecordedGoldenHash) {
+  // Recorded from the binary-heap Dijkstra router before the level-ordered
+  // search replaced it: any change to a distance, a parent, a tie-break or
+  // an Rng draw of find_embedding moves a hash. The programs are the
+  // annealer batch families (compiled and presolved exactly as a solve
+  // prepares them), one decompose subproblem of set_cover_large, and two
+  // of the families again on a device with dead qubits, each embedded at
+  // three seeds. Max-cut and vertex cover on one graph share an
+  // interaction graph, so their rows agree.
+  std::vector<Env> envs;
+  for (std::size_t n : {std::size_t{9}, std::size_t{15}}) {
+    envs.push_back(MaxCutProblem{vertex_scaling_graph(n)}.encode());
+    envs.push_back(VertexCoverProblem{vertex_scaling_graph(n)}.encode());
+  }
+  envs.push_back(MapColoringProblem{vertex_scaling_graph(9), 3}.encode());
+  envs.push_back(CliqueCoverProblem{vertex_scaling_graph(9), 3}.encode());
+  for (std::size_t elements : {std::size_t{6}, std::size_t{12}}) {
+    Rng set_rng(424242 + elements);
+    const SetSystem system =
+        random_set_system(elements, elements / 3, elements / 2, set_rng);
+    envs.push_back(ExactCoverProblem{system}.encode());
+    envs.push_back(MinSetCoverProblem{system}.encode());
+  }
+  for (std::size_t vars : {std::size_t{4}, std::size_t{8}}) {
+    Rng sat_rng(171717 + vars);
+    envs.push_back(
+        KSatProblem{random_ksat(vars, 3 * vars, 3, sat_rng)}.encode_repeated());
+  }
+  // A decompose round's subproblem: part 4 of set_cover_large's partition
+  // at the 65-variable cap (16 program variables, 48 QUBO variables),
+  // clamped to the all-false incumbent.
+  SynthEngine engine;
+  const Env large =
+      MinSetCoverProblem{chained_set_system(41, 8, 2, 4)}.encode();
+  const decompose::Partition partition =
+      decompose::plan_partition(large, 65, &engine);
+  ASSERT_GT(partition.parts.size(), 4u);
+  envs.push_back(decompose::clamp_to_incumbent(
+                     large, partition.parts[4],
+                     std::vector<bool>(large.num_vars(), false))
+                     .env);
+  EXPECT_EQ(envs.back().num_vars(), 16u);
+
+  Rng device_rng(0xD3071CEull);
+  const Device device = advantage_4_1(device_rng);
+  Rng masked_rng(77);
+  const Device masked = advantage_4_1(masked_rng, 200);
+  std::vector<std::pair<const Env*, const Device*>> cases;
+  for (const Env& env : envs) cases.emplace_back(&env, &device);
+  cases.emplace_back(&envs[0], &masked);  // max-cut 9
+  cases.emplace_back(&envs[9], &masked);  // min-set-cover 12
+
+  std::vector<std::uint64_t> hashes;
+  for (const auto& [env, dev] : cases) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      const AnnealPrepared prepared = prepare_annealer(*env, *dev, engine, rng);
+      ASSERT_TRUE(prepared.embedded);
+      hashes.push_back(chains_hash(prepared));
+    }
+  }
+  const std::vector<std::uint64_t> golden = {
+      0x62e9ecd25906ff06ull, 0xcbdcabf363a21861ull, 0x166e06f6f37a8a79ull,
+      0x62e9ecd25906ff06ull, 0xcbdcabf363a21861ull, 0x166e06f6f37a8a79ull,
+      0x5aceaccbd8d9ea58ull, 0xa298dc731a5bca8bull, 0x474cc2afbdd32a43ull,
+      0x5aceaccbd8d9ea58ull, 0xa298dc731a5bca8bull, 0x474cc2afbdd32a43ull,
+      0xa29a9d3f2c9639e5ull, 0x78eebd25b87e36cfull, 0xd079a38618f4e87eull,
+      0x71886caa7bf9a58full, 0x9530ae499f3bea03ull, 0xdd2d3689c146577dull,
+      0x4e3ef2b8ffb27971ull, 0xbeb19d4e4586c61eull, 0xec34916576e465f3ull,
+      0xe1931cba4a711c9full, 0x03a743a0517cae02ull, 0xa3ada13e147ba0acull,
+      0xa0c0baae57ce2d98ull, 0x5544e3d38541c236ull, 0x00d4aa1d55d7339aull,
+      0x4b459c9fff2ae9b9ull, 0x7b73c63b33361a3bull, 0x300b8ad460495269ull,
+      0x9379b83c044e9935ull, 0xe9d179b6aa12efc9ull, 0x7db2e5be079d0b25ull,
+      0xbc6b85322a6efdb4ull, 0x99450556ee7d3f02ull, 0x4714d2e88cc9acf3ull,
+      0x0ad99b1e43d737a0ull, 0x07128f3fc11459d9ull, 0xf8ade229160f5875ull,
+      0xdfab124362162467ull, 0x99dca77df7953475ull, 0x4bfe60df57ab7e09ull,
+      0xf3f6f2a8d0b8a29dull, 0xea85b12c2c639485ull, 0xcb9dd91d7fb937eaull};
+  EXPECT_EQ(hashes, golden);
+}
 
 // ---------------------------------------------------------- Embedded Ising
 

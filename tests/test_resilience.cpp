@@ -590,6 +590,19 @@ TEST(ResilientSolve, BadOptionsRejectedAtEntry) {
     EXPECT_NE(report.failure_message().find("anneal_us"), std::string::npos);
   }
   {
+    // A negative penalty base gives negative qubit weights, under which
+    // the embedder's shortest paths are undefined.
+    for (double base : {-4.0, std::nan(""), HUGE_VAL}) {
+      Solver solver(42);
+      solver.annealer_options().embed.penalty_base = base;
+      const SolveReport report = solver.solve(env, BackendKind::kAnnealer);
+      EXPECT_FALSE(report.ran);
+      EXPECT_EQ(report.failure, FailureKind::kBadOptions);
+      EXPECT_NE(report.failure_message().find("penalty_base"),
+                std::string::npos);
+    }
+  }
+  {
     // Chain-wide validation: the primary backend is fine, but a fallback
     // rung's options are nonsense.
     Solver solver(42);
