@@ -42,7 +42,7 @@ std::vector<Env> programs() {
 struct PassStats {
   double wall_ms = 0.0;
   double enumerated = 0.0;  // certify.constraints_enumerated, summed
-  double cache_hits = 0.0;  // certify.cache_hits, summed
+  double cache_hits = 0.0;  // certify.cache_hit, summed
 };
 
 PassStats run_pass(Solver& solver, const std::vector<Env>& envs) {
@@ -55,7 +55,7 @@ PassStats run_pass(Solver& solver, const std::vector<Env>& envs) {
                 << "\n";
     }
     stats.enumerated += report.trace.counter("certify.constraints_enumerated");
-    stats.cache_hits += report.trace.counter("certify.cache_hits");
+    stats.cache_hits += report.trace.counter("certify.cache_hit");
   }
   const auto stop = std::chrono::steady_clock::now();
   stats.wall_ms =

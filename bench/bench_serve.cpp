@@ -42,6 +42,7 @@
 
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/json_string.hpp"
 
 using namespace nck;
 using serve::Server;
@@ -221,7 +222,7 @@ struct RequestMix {
     if (i % 7 == 6) op = "simplify";
     std::string out = "{\"id\":" + std::to_string(id) + ",\"op\":\"" +
                       std::string(op) + "\",\"program\":\"" +
-                      serve::json_escape(program) + "\"";
+                      json_escape(program) + "\"";
     if (std::string(op) == "solve") {
       out += ",\"backend\":\"annealer\",\"reads\":" + std::to_string(reads);
     }

@@ -92,6 +92,7 @@
 #include "runtime/pool.hpp"
 #include "runtime/solver.hpp"
 #include "serve/stdio.hpp"
+#include "util/json_string.hpp"
 
 using namespace nck;
 
@@ -225,25 +226,12 @@ int run_certify(int argc, char** argv) {
   Env env;
   if (!read_program(path, env)) return 2;
 
-  // Program-level lint first (a provably broken program is not worth
-  // enumerating), with the heuristic NCK-P007 suppressed in favor of the
-  // sound NCK-V001/V002 dominance check below.
   SynthEngine engine;
-  Analyzer analyzer;
-  analyzer.options().program.scale_separation = false;
-  analyzer.options().program.synth_var_budget = engine.general_var_budget();
-  analyzer.options().program.synth_builtin = engine.builtin_enabled();
-  AnalysisReport report = analyzer.analyze(env);
-
-  ProgramCertificate cert;
+  const auto [cert, report] = lint_and_certify(env, engine, options);
   bool internal_failure = false;
-  if (!report.has_errors()) {
-    cert = certify_program(env, engine, options);
-    report_certificate(env, cert, options, report);
-    for (const ConstraintCertificate& c : cert.constraints) {
-      internal_failure = internal_failure ||
-                         c.error.rfind("synthesis failed", 0) == 0;
-    }
+  for (const ConstraintCertificate& c : cert.constraints) {
+    internal_failure =
+        internal_failure || c.error.rfind("synthesis failed", 0) == 0;
   }
 
   if (json) {
@@ -265,30 +253,6 @@ int run_certify(int argc, char** argv) {
   }
   if (internal_failure) return 2;
   return report.has_errors() ? 1 : 0;
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters) —
-/// mirrors the file-local helpers in analysis/diagnostic.cpp.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 int run_simplify(int argc, char** argv) {

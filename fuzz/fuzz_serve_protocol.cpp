@@ -17,6 +17,7 @@
 #include <string>
 
 #include "serve/protocol.hpp"
+#include "util/json_string.hpp"
 
 namespace {
 
@@ -65,6 +66,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   check_single_line(nck::serve::ok_response(
       nck::serve::id_json(request), nck::serve::op_name(request.op),
-      ",\"echo\":\"" + nck::serve::json_escape(request.program) + "\""));
+      ",\"echo\":\"" + nck::json_escape(request.program) + "\""));
   return 0;
 }

@@ -6,7 +6,9 @@
 #include <limits>
 #include <sstream>
 
+#include "analysis/analyzer.hpp"
 #include "qubo/brute_force.hpp"
+#include "util/json_string.hpp"
 
 namespace nck {
 
@@ -28,30 +30,6 @@ std::string json_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -241,6 +219,21 @@ std::string ProgramCertificate::to_json() const {
   }
   os << "]}";
   return os.str();
+}
+
+CertifiedProgram lint_and_certify(const Env& env, SynthEngine& engine,
+                                  const CertifyOptions& options) {
+  AnalyzeOptions lint;
+  lint.program.scale_separation = false;
+  lint.program.synth_var_budget = engine.general_var_budget();
+  lint.program.synth_builtin = engine.builtin_enabled();
+  CertifiedProgram out;
+  out.report = Analyzer(lint).analyze(env);
+  if (!out.report.has_errors()) {
+    out.certificate = certify_program(env, engine, options);
+    report_certificate(env, out.certificate, options, out.report);
+  }
+  return out;
 }
 
 }  // namespace nck

@@ -107,4 +107,17 @@ ProgramCertificate certify_program(const Env& env, SynthEngine& engine,
 void report_certificate(const Env& env, const ProgramCertificate& cert,
                         const CertifyOptions& options, AnalysisReport& report);
 
+/// A certificate and the diagnostics that go with it.
+struct CertifiedProgram {
+  ProgramCertificate certificate;  // empty when the lint found errors
+  AnalysisReport report;
+};
+
+/// The recipe of `nck_cli certify` and serve's certify op: program-level
+/// lint first (a provably broken program is not worth enumerating), with
+/// the heuristic NCK-P007 suppressed in favor of the sound NCK-V001/V002
+/// dominance check, then certify_program and report_certificate.
+CertifiedProgram lint_and_certify(const Env& env, SynthEngine& engine,
+                                  const CertifyOptions& options = {});
+
 }  // namespace nck

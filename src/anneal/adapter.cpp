@@ -8,12 +8,6 @@
 namespace nck::backend {
 namespace {
 
-struct AnnealPlan final : Plan {
-  AnnealPrepared prepared;
-  std::size_t footprint = 0;
-  std::size_t bytes() const noexcept override { return footprint; }
-};
-
 bool finite_nonnegative(double value, const char* what, std::string* why) {
   if (std::isnan(value) || value < 0.0 || !std::isfinite(value)) {
     if (why) *why = std::string(what) + " must be finite and >= 0";
@@ -73,7 +67,10 @@ Fingerprint AnnealAdapter::plan_key(const PrepareContext& ctx) const {
   fp.mix(options_->embed.penalty_base);
   fp.mix(options_->embed.tries);
   fp.mix(options_->chain_strength);
-  fp.mix(options_->use_presolve);
+  // The flag of the retired QUBO presolve, always off. prepare() seeds the
+  // embedding RNG from this key, so dropping the mix would move every
+  // chain.
+  fp.mix(false);
   return fp;
 }
 
@@ -83,28 +80,29 @@ PrepareOutcome AnnealAdapter::prepare(const PrepareContext& ctx) const {
   // function of its inputs alone (warm and cold solves agree exactly, and
   // batch results do not depend on which worker built the plan first).
   Rng prep_rng(ctx.key.lo() ^ (ctx.key.hi() * 0x9E3779B97F4A7C15ull));
-  auto plan = std::make_shared<AnnealPlan>();
-  plan->prepared = prepare_annealer(*ctx.env, device_for(ctx), *ctx.engine,
-                                    prep_rng, *options_, ctx.trace);
+  AnnealPrepared prepared = prepare_annealer(*ctx.env, device_for(ctx),
+                                             *ctx.engine, prep_rng, *options_,
+                                             ctx.trace);
   PrepareOutcome outcome;
-  if (!plan->prepared.embedded) {
+  if (!prepared.embedded) {
     outcome.failure = FailureKind::kNoEmbedding;
     outcome.detail = "no minor embedding found on the device";
     return outcome;
   }
-  plan->footprint = plan->prepared.bytes();
-  outcome.plan = std::move(plan);
+  const std::size_t bytes = prepared.bytes();
+  outcome.plan =
+      std::make_shared<const Memo<AnnealPrepared>>(std::move(prepared), bytes);
   return outcome;
 }
 
 ExecutionResult AnnealAdapter::execute(const Plan& plan,
                                        ExecuteContext& ctx) const {
-  const auto& anneal_plan = static_cast<const AnnealPlan&>(plan);
   AnnealBackendOptions options = *options_;
   options.sampler.num_reads = ctx.budget.samples;
   options.faults = ctx.faults;
   AnnealOutcome outcome =
-      execute_annealer(anneal_plan.prepared, *ctx.rng, options, ctx.trace);
+      execute_annealer(memo_value<AnnealPrepared>(plan), *ctx.rng, options,
+                       ctx.trace);
 
   ExecutionResult result;
   result.device_seconds = outcome.timing.total_us * 1e-6;

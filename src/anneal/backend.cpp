@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "qubo/ising.hpp"
-#include "qubo/presolve.hpp"
 #include "util/timer.hpp"
 
 namespace nck {
@@ -17,20 +16,12 @@ Graph interaction_graph(const Qubo& q) {
   return g;
 }
 
-// Expands a sample over the (possibly compacted) sampled problem back to
-// the program variables.
+// Projects a sample over the QUBO variables onto the program variables,
+// the QUBO's leading block.
 std::vector<bool> to_program_vars(const AnnealPrepared& prepared,
                                   const std::vector<bool>& sampled) {
-  std::vector<bool> full(prepared.compiled.num_qubo_vars(), false);
-  if (prepared.use_presolve) {
-    for (std::size_t k = 0; k < prepared.free_vars.size(); ++k) {
-      full[prepared.free_vars[k]] = sampled[k];
-    }
-    full = prepared.pres.complete(std::move(full));
-  } else {
-    full = sampled;
-    full.resize(prepared.compiled.num_qubo_vars(), false);
-  }
+  std::vector<bool> full = sampled;
+  full.resize(prepared.compiled.num_qubo_vars(), false);
   return {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(
                             prepared.compiled.num_problem_vars)};
 }
@@ -41,9 +32,6 @@ std::size_t AnnealPrepared::bytes() const noexcept {
   std::size_t total = sizeof(AnnealPrepared);
   total += compiled.qubo.num_variables() * sizeof(double);
   total += compiled.qubo.num_quadratic_terms() * 3 * sizeof(double);
-  total += pres.fixed.capacity() * sizeof(int);
-  total += pres.reduced.num_variables() * sizeof(double);
-  total += free_vars.capacity() * sizeof(std::size_t);
   total += logical.h.capacity() * sizeof(double);
   total += logical.j.capacity() * sizeof(std::tuple<Qubo::Var, Qubo::Var, double>);
   for (const auto& chain : embedding.chains) {
@@ -70,43 +58,24 @@ AnnealPrepared prepare_annealer(const Env& env, const Device& device,
                                 obs::Trace* trace) {
   AnnealPrepared prepared;
   prepared.env = env;
-  prepared.use_presolve = options.use_presolve;
 
   Timer compile_timer;
   prepared.compiled = compile(env, engine, options.compile, trace);
-
-  // Optional presolve: pin decidable variables, then sample only the free
-  // ones. `free_vars` maps compacted indices back to full QUBO indices.
-  Qubo sampled_qubo = prepared.compiled.qubo;
-  if (options.use_presolve) {
-    obs::Span presolve_span(trace, "presolve");
-    prepared.pres = presolve(prepared.compiled.qubo);
-    std::vector<Qubo::Var> to_sampled(prepared.compiled.num_qubo_vars(), 0);
-    for (std::size_t i = 0; i < prepared.pres.fixed.size(); ++i) {
-      if (prepared.pres.fixed[i] == -1) {
-        to_sampled[i] = static_cast<Qubo::Var>(prepared.free_vars.size());
-        prepared.free_vars.push_back(i);
-      }
-    }
-    sampled_qubo = prepared.pres.reduced.remapped(to_sampled);
-    sampled_qubo.resize(prepared.free_vars.size());
-    obs::count(trace, "presolve.fixed",
-               static_cast<double>(prepared.pres.num_fixed));
-  }
-  prepared.num_sampled_vars = sampled_qubo.num_variables();
-  prepared.logical = qubo_to_ising(sampled_qubo);
+  const Qubo& qubo = prepared.compiled.qubo;
+  prepared.num_sampled_vars = qubo.num_variables();
+  prepared.logical = qubo_to_ising(qubo);
   prepared.compile_ms = compile_timer.milliseconds();
 
   if (prepared.num_sampled_vars == 0) {
-    // Everything pinned by presolve: the answer is deterministic and
-    // nothing needs embedding.
+    // An empty QUBO: the answer is deterministic and nothing needs
+    // embedding.
     prepared.embedded = true;
     return prepared;
   }
 
   obs::Span embed_span(trace, "embed");
   Timer embed_timer;
-  const Graph logical_graph = interaction_graph(sampled_qubo);
+  const Graph logical_graph = interaction_graph(qubo);
   const Graph working = device.working_graph();
   const auto embedding =
       find_embedding(logical_graph, working, rng, options.embed);
@@ -128,14 +97,13 @@ AnnealOutcome execute_annealer(const AnnealPrepared& prepared, Rng& rng,
                                obs::Trace* trace) {
   AnnealOutcome outcome;
   outcome.num_logical = prepared.compiled.num_qubo_vars();
-  outcome.presolve_fixed = prepared.pres.num_fixed;
   outcome.timing.client_compile_ms = prepared.compile_ms;
   outcome.timing.client_embed_ms = prepared.embed_ms;
 
   if (!prepared.embedded) return outcome;  // embedded == false
 
   if (prepared.num_sampled_vars == 0) {
-    // Fully pinned by presolve: replicate the deterministic answer.
+    // Empty QUBO: replicate the deterministic answer.
     outcome.embedded = true;
     for (std::size_t r = 0; r < options.sampler.num_reads; ++r) {
       std::vector<bool> program_vars = to_program_vars(prepared, {});

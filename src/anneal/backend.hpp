@@ -12,7 +12,6 @@
 #include "anneal/topology.hpp"
 #include "core/compile.hpp"
 #include "core/env.hpp"
-#include "qubo/presolve.hpp"
 #include "resilience/fault.hpp"
 #include "synth/engine.hpp"
 
@@ -23,11 +22,6 @@ struct AnnealBackendOptions {
   EmbedOptions embed;
   CompileOptions compile;
   double chain_strength = 0.0;  // <= 0: automatic
-  /// QUBO presolve before embedding (like Ocean's fix_variables): variables
-  /// whose optimal value follows from coefficient signs are pinned and
-  /// never consume physical qubits. Off by default so the paper-faithful
-  /// benches report unreduced footprints.
-  bool use_presolve = false;
   /// When non-null, the backend consults this injector at the session
   /// points where real QPU jobs fail: submission (rejection / queue
   /// timeout, after the embedding is built), calibration drift (added to
@@ -39,7 +33,6 @@ struct AnnealBackendOptions {
 struct AnnealOutcome {
   bool embedded = false;          // false => device too small / embed failed
   std::size_t num_logical = 0;    // QUBO variables (program vars + ancillas)
-  std::size_t presolve_fixed = 0; // variables pinned before embedding
   std::size_t qubits_used = 0;    // physical qubits (the paper's x-axis)
   std::size_t max_chain_length = 0;
   /// Samples projected to the program variables, ordered by ascending
@@ -55,18 +48,15 @@ struct AnnealOutcome {
 };
 
 /// The annealer's prepare artifact: everything client-side and
-/// deterministic — compiled QUBO, presolve pinning, logical Ising,
-/// minor embedding, and the embedded physical program. Immutable once
-/// built; execute_annealer() runs any number of sampling sessions
-/// against it (the backend::Plan the plan cache stores).
+/// deterministic — compiled QUBO, logical Ising, minor embedding, and the
+/// embedded physical program. Immutable once built; execute_annealer()
+/// runs any number of sampling sessions against it (the backend::Plan the
+/// plan cache stores).
 struct AnnealPrepared {
   Env env;  // structural copy used to evaluate unembedded samples
   CompiledQubo compiled;
-  bool use_presolve = false;
-  PresolveResult pres;
-  std::vector<std::size_t> free_vars;  // sampled index -> full QUBO index
-  std::size_t num_sampled_vars = 0;    // 0 = presolve pinned everything
-  IsingModel logical;                  // over the sampled (compacted) vars
+  std::size_t num_sampled_vars = 0;  // QUBO variables; 0 = nothing to embed
+  IsingModel logical;                // over the QUBO variables
   /// False when no minor embedding was found (the only prepare failure);
   /// the remaining fields below it are then unset.
   bool embedded = false;
@@ -81,11 +71,11 @@ struct AnnealPrepared {
   std::size_t bytes() const noexcept;
 };
 
-/// Client-side half: compile -> presolve -> embed -> embedded Ising.
-/// Deterministic given (env, device, options, rng state); consumes no
-/// faults. When the QUBO is empty after presolve, `embedded` is true
-/// with no embedding (the answer is pinned). When `trace` is non-null,
-/// records the compile / presolve / embed stage spans.
+/// Client-side half: compile -> embed -> embedded Ising. Deterministic
+/// given (env, device, options, rng state); consumes no faults. When the
+/// QUBO is empty, `embedded` is true with no embedding (the answer is
+/// fixed). When `trace` is non-null, records the compile / embed stage
+/// spans.
 AnnealPrepared prepare_annealer(const Env& env, const Device& device,
                                 SynthEngine& engine, Rng& rng,
                                 const AnnealBackendOptions& options = {},
@@ -102,7 +92,7 @@ AnnealOutcome execute_annealer(const AnnealPrepared& prepared, Rng& rng,
 /// Runs the program on the (simulated) annealing device: prepare_annealer
 /// followed by execute_annealer on the same rng. Uses and warms the
 /// provided synthesis engine; pass a fresh one for isolated runs. When
-/// `trace` is non-null, the compile / presolve / embed / sample stages and
+/// `trace` is non-null, the compile / embed / sample stages and
 /// their metrics (chain-length histogram, chain-break counters, modeled
 /// device times) are recorded into it.
 AnnealOutcome run_annealer(const Env& env, const Device& device,

@@ -6,8 +6,9 @@
 // owns the cross-engine synthesis cache: per-pattern QUBO syntheses keyed
 // by canonical pattern, shared by every SynthEngine wired to it.
 //
+// Every cached stage goes through memo(): find, compute on a miss, insert.
 // Hit/miss/eviction counters are kept globally (stats(), for pool
-// reports) and recorded per solve into the obs trace by the callers, so
+// reports), and memo() records each lookup into the solve's obs trace, so
 // `--trace` shows whether a solve prepared from scratch or reused a plan.
 #pragma once
 
@@ -15,10 +16,13 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "backend/fingerprint.hpp"
 #include "backend/plan.hpp"
+#include "obs/obs.hpp"
 #include "synth/shared_cache.hpp"
 
 namespace nck::backend {
@@ -49,6 +53,24 @@ class PlanCache {
   /// A plan larger than the whole budget is inserted and evicted on the
   /// next insert — the current solve still gets to use it.
   void insert(const Fingerprint& key, PlanPtr plan);
+
+  /// The plan for `key`, computed by `compute()` (a PlanPtr) on a miss and
+  /// inserted unless it is null: a stage reports failure by returning null,
+  /// and failures are never cached. Counts `plan_cache.hit|miss` and
+  /// `<stage>.cache_hit|miss` into `trace` (which may be null).
+  template <typename Compute>
+  PlanPtr memo(const Fingerprint& key, std::string_view stage,
+               obs::Trace* trace, Compute&& compute) {
+    PlanPtr plan = find(key);
+    const char* outcome = plan ? "hit" : "miss";
+    obs::count(trace, std::string("plan_cache.") + outcome);
+    obs::count(trace, std::string(stage).append(".cache_").append(outcome));
+    if (!plan) {
+      plan = compute();
+      insert(key, plan);
+    }
+    return plan;
+  }
 
   void clear();
 

@@ -5,15 +5,6 @@
 #include "resilience/policy.hpp"
 
 namespace nck::backend {
-namespace {
-
-struct CircuitPlan final : Plan {
-  CircuitPrepared prepared;
-  std::size_t footprint = 0;
-  std::size_t bytes() const noexcept override { return footprint; }
-};
-
-}  // namespace
 
 bool CircuitAdapter::validate(std::string* why) const {
   const QaoaOptions& q = options_->qaoa;
@@ -45,32 +36,30 @@ Fingerprint CircuitAdapter::plan_key(const PrepareContext& ctx) const {
 }
 
 PrepareOutcome CircuitAdapter::prepare(const PrepareContext& ctx) const {
-  auto plan = std::make_shared<CircuitPlan>();
-  plan->prepared = prepare_circuit_backend(*ctx.env, *coupling_, *ctx.engine,
-                                           *options_, ctx.trace);
+  CircuitPrepared prepared = prepare_circuit_backend(
+      *ctx.env, *coupling_, *ctx.engine, *options_, ctx.trace);
   PrepareOutcome outcome;
-  if (!plan->prepared.fits) {
+  if (!prepared.fits) {
     outcome.failure = FailureKind::kDeviceTooSmall;
     outcome.detail =
         "problem does not fit the " +
         std::to_string(coupling_->num_vertices()) + "-qubit device";
     return outcome;
   }
-  plan->footprint = plan->prepared.bytes();
-  outcome.plan = std::move(plan);
+  const std::size_t bytes = prepared.bytes();
+  outcome.plan =
+      std::make_shared<const Memo<CircuitPrepared>>(std::move(prepared), bytes);
   return outcome;
 }
 
 ExecutionResult CircuitAdapter::execute(const Plan& plan,
                                         ExecuteContext& ctx) const {
-  const auto& circuit_plan = static_cast<const CircuitPlan&>(plan);
   CircuitBackendOptions options = *options_;
   options.qaoa.shots = ctx.budget.samples;
   options.qaoa.optimizer.max_evaluations = ctx.budget.aux;
   options.faults = ctx.faults;
-  CircuitOutcome outcome = execute_circuit_backend(circuit_plan.prepared,
-                                                   *ctx.rng, options,
-                                                   ctx.trace);
+  CircuitOutcome outcome = execute_circuit_backend(
+      memo_value<CircuitPrepared>(plan), *ctx.rng, options, ctx.trace);
 
   ExecutionResult result;
   result.device_seconds = outcome.total_seconds;

@@ -5,12 +5,6 @@
 namespace nck::backend {
 namespace {
 
-struct ClassicalPlan final : Plan {
-  Env env;
-  std::size_t footprint = 0;
-  std::size_t bytes() const noexcept override { return footprint; }
-};
-
 std::size_t env_bytes(const Env& env) noexcept {
   std::size_t total = sizeof(Env);
   for (const Constraint& c : env.constraints()) {
@@ -35,22 +29,21 @@ Fingerprint ClassicalAdapter::plan_key(const PrepareContext& ctx) const {
 }
 
 PrepareOutcome ClassicalAdapter::prepare(const PrepareContext& ctx) const {
-  auto plan = std::make_shared<ClassicalPlan>();
-  plan->env = *ctx.env;
-  plan->footprint = env_bytes(plan->env);
+  Env env = *ctx.env;
+  const std::size_t bytes = env_bytes(env);  // of the copy the plan keeps
   PrepareOutcome outcome;
-  outcome.plan = std::move(plan);
+  outcome.plan = std::make_shared<const Memo<Env>>(std::move(env), bytes);
   return outcome;
 }
 
 ExecutionResult ClassicalAdapter::execute(const Plan& plan,
                                           ExecuteContext& ctx) const {
   (void)ctx;
-  const auto& classical = static_cast<const ClassicalPlan&>(plan);
+  const Env& env = memo_value<Env>(plan);
   ExecutionResult result;
-  const ClassicalSolution solution = solve_exact(classical.env);
+  const ClassicalSolution solution = solve_exact(env);
   result.single_answer = true;
-  result.evaluations.push_back(classical.env.evaluate(solution.assignment));
+  result.evaluations.push_back(env.evaluate(solution.assignment));
   result.samples.push_back(solution.assignment);
   return result;
 }

@@ -8,26 +8,11 @@
 #include <stdexcept>
 
 #include "util/json_number.hpp"
+#include "util/json_string.hpp"
 #include "util/table.hpp"
 
 namespace nck::obs {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 void write_double(std::ostream& os, double v) {
   // JSON has no NaN or infinity: such a value is written as null and read
@@ -94,26 +79,7 @@ class Cursor {
   std::string string() {
     expect('"');
     std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: fail(std::string("unsupported escape '\\") + e + "'");
-        }
-      } else {
-        out += c;
-      }
-    }
+    if (const char* why = parse_json_string(text_, pos_, out)) fail(why);
     return out;
   }
 

@@ -77,26 +77,10 @@ void fill_report(SolveReport& report, const backend::ExecutionResult& res,
   report.best_quality = best;
 }
 
-/// Ground truth is deterministic in the program alone, so it lives in the
-/// content-addressed cache next to the backend plans: a batch of repeated
-/// (or renamed-isomorphic) programs certifies once.
-struct TruthPlan final : backend::Plan {
-  GroundTruth truth;
-  std::size_t bytes() const noexcept override { return sizeof(TruthPlan); }
-};
-
 /// Certificates are deterministic in the program plus the certification
 /// thresholds, so they share the content-addressed cache: a warm solve
 /// recalls the artifact and re-derives the NCK-V* diagnostics by pure
 /// arithmetic, enumerating zero assignments.
-struct CertificatePlan final : backend::Plan {
-  ProgramCertificate certificate;
-  std::size_t bytes() const noexcept override {
-    return sizeof(CertificatePlan) +
-           certificate.constraints.size() * sizeof(ConstraintCertificate);
-  }
-};
-
 backend::Fingerprint certificate_key(const Env& env,
                                      const CertifyOptions& options) {
   backend::Fingerprint key;
@@ -113,14 +97,9 @@ backend::Fingerprint certificate_key(const Env& env,
 /// live in the content-addressed cache: warm solves (and permuted-but-
 /// identical programs, thanks to the canonical mix_env) skip the dataflow
 /// fixpoint and the 2^n verification entirely.
-struct PresolvePlan final : backend::Plan {
+struct Presolved {
   ReduceResult result;
   ReductionVerdict verdict;
-  std::size_t bytes() const noexcept override {
-    return sizeof(PresolvePlan) +
-           result.steps.size() * sizeof(ReductionStep) +
-           result.trace.forced.size() + result.trace.kept.size() * sizeof(VarId);
-  }
 };
 
 backend::Fingerprint presolve_key(const Env& env, const ReduceOptions& options) {
@@ -229,8 +208,8 @@ struct Solver::Stages {
   /// The program the pipeline operates on: `env`, or the cached reduced
   /// program once presolve changes it.
   const Env* work;
-  backend::PlanPtr presolve_plan_ptr;  // owns the reduced Env `work` may alias
-  const PresolvePlan* presolve_plan = nullptr;
+  backend::PlanPtr presolve_plan;  // owns the reduced Env `work` may alias
+  const Presolved* presolved = nullptr;
   bool presolve_rejected = false;
 
   /// The post-presolve program exceeds the per-subproblem cap and
@@ -268,6 +247,7 @@ struct Solver::Stages {
   bool analysis_stage();
   bool certify_stage();
   bool truth_stage();
+  GroundTruth cached_truth(const Env& program);
   void dispatch_stage();
   void decompose_stage();
   void lift_stage();
@@ -288,9 +268,9 @@ bool Solver::Stages::begin() {
   chain.push_back(primary);
   if (s.resilience_.fallback) {
     for (BackendKind b : *s.resilience_.fallback) {
-      bool seen = false;
-      for (BackendKind c : chain) seen = seen || c == b;
-      if (!seen) chain.push_back(b);
+      if (std::find(chain.begin(), chain.end(), b) == chain.end()) {
+        chain.push_back(b);
+      }
     }
   }
 
@@ -310,29 +290,22 @@ bool Solver::Stages::presolve_stage() {
   //                    appended after analysis); `work` stays original.
   if (s.solve_options_.presolve) {
     obs::Span presolve_span(trace, "presolve");
-    const backend::Fingerprint key =
-        presolve_key(env, s.solve_options_.reduce_options);
-    if (backend::PlanPtr cached = s.plan_cache_->find(key)) {
-      obs::count(&trace, "plan_cache.hit");
-      obs::count(&trace, "presolve.cache_hit");
-      presolve_plan_ptr = std::move(cached);
-    } else {
-      obs::count(&trace, "plan_cache.miss");
-      obs::count(&trace, "presolve.cache_miss");
-      auto plan = std::make_shared<PresolvePlan>();
-      plan->result = reduce_program(env, s.solve_options_.reduce_options);
-      plan->verdict = verify_reduction(
-          env, plan->result, s.solve_options_.reduce_options.verify_max_vars);
-      presolve_plan_ptr = std::move(plan);
-      s.plan_cache_->insert(key, presolve_plan_ptr);
-    }
-    presolve_plan = static_cast<const PresolvePlan*>(presolve_plan_ptr.get());
-    const ReduceResult& red = presolve_plan->result;
+    const ReduceOptions& options = s.solve_options_.reduce_options;
+    presolve_plan = s.plan_cache_->memo(
+        presolve_key(env, options), "presolve", &trace, [&] {
+          Presolved p{reduce_program(env, options), {}};
+          p.verdict = verify_reduction(env, p.result, options.verify_max_vars);
+          const std::size_t heap =
+              p.result.steps.size() * sizeof(ReductionStep) +
+              p.result.trace.forced.size() +
+              p.result.trace.kept.size() * sizeof(VarId);
+          return backend::make_memo(std::move(p), heap);
+        });
+    presolved = &backend::memo_value<Presolved>(*presolve_plan);
+    const ReduceResult& red = presolved->result;
     PresolveSummary summary = summarize_reduction(env, red);
-    summary.verified = presolve_plan->verdict.checked &&
-                       presolve_plan->verdict.ok;
-    summary.rejected = presolve_plan->verdict.checked &&
-                       !presolve_plan->verdict.ok;
+    summary.verified = presolved->verdict.checked && presolved->verdict.ok;
+    summary.rejected = presolved->verdict.checked && !presolved->verdict.ok;
     presolve_rejected = summary.rejected;
     if (red.changed() || red.proved_unsat || summary.rejected) {
       report.presolve = summary;
@@ -350,7 +323,7 @@ bool Solver::Stages::presolve_stage() {
   // The lifted forced assignment is the unique answer consistent with the
   // hard constraints; no backend needs to run.
   if (work != &env && work->num_constraints() == 0) {
-    const ReductionTrace& tr = presolve_plan->result.trace;
+    const ReductionTrace& tr = presolved->result.trace;
     report.ran = true;
     report.truth = {true, tr.soft_always_satisfied};
     report.best_assignment =
@@ -374,29 +347,27 @@ bool Solver::Stages::analysis_stage() {
   // / NCK-C001); the hardware passes run per sub-QUBO inside each
   // sub-solve.
   // While certifying, the heuristic NCK-P007 scale-separation pass yields
-  // to its sound NCK-V001/V002 successors (restored after the analyze run).
-  const bool saved_scale_separation =
-      s.analyzer_.options().program.scale_separation;
-  if (s.solve_options_.certify) {
-    s.analyzer_.options().program.scale_separation = false;
-  }
+  // to its sound NCK-V001/V002 successors. The options are this run's own
+  // copy, so a throwing pass cannot leave the pass off for later solves.
+  AnalyzeOptions options = s.analyzer_.options();
+  if (s.solve_options_.certify) options.program.scale_separation = false;
+  const Analyzer analyzer(options);
   {
     obs::Span analyze_span(trace, "analyze");
     if (decomposed) {
-      report.analysis = s.analyzer_.analyze(*work);
+      report.analysis = analyzer.analyze(*work);
     } else if (chain.size() > 1) {
       std::vector<AnalysisTarget> targets;
       targets.reserve(chain.size());
       for (BackendKind b : chain) {
         targets.push_back(s.registry_.find(b)->analysis_target());
       }
-      report.analysis = s.analyzer_.analyze_chain(*work, s.engine_, targets);
+      report.analysis = analyzer.analyze_chain(*work, s.engine_, targets);
     } else {
-      report.analysis = s.analyzer_.analyze(
+      report.analysis = analyzer.analyze(
           *work, s.engine_, s.registry_.find(primary)->analysis_target());
     }
   }
-  s.analyzer_.options().program.scale_separation = saved_scale_separation;
   if (decomposed) {
     report.analysis.add(
         {Severity::kNote, DiagCode::kDecomposed, DiagLocation::program(),
@@ -413,7 +384,7 @@ bool Solver::Stages::analysis_stage() {
          DiagLocation::program(),
          "presolve produced a reduction that failed equivalence "
          "certification; solving the original program (" +
-             presolve_plan->verdict.detail + ")",
+             presolved->verdict.detail + ")",
          "this indicates a reduction-catalog bug; `nck_cli simplify` on "
          "this program reproduces it"});
   }
@@ -429,27 +400,21 @@ bool Solver::Stages::analysis_stage() {
 bool Solver::Stages::certify_stage() {
   if (!s.solve_options_.certify) return true;
   obs::Span certify_span(trace, "certify");
-  const backend::Fingerprint key =
-      certificate_key(*work, s.solve_options_.certify_options);
-  ProgramCertificate cert;
-  if (const backend::PlanPtr cached = s.plan_cache_->find(key)) {
-    obs::count(&trace, "plan_cache.hit");
-    obs::count(&trace, "certify.cache_hits");
-    cert = static_cast<const CertificatePlan&>(*cached).certificate;
-  } else {
-    obs::count(&trace, "plan_cache.miss");
-    cert = certify_program(*work, s.engine_, s.solve_options_.certify_options);
-    // Enumeration happens only on this cold path; the warm-solve test
-    // asserts this counter stays flat.
-    trace.registry().add("certify.constraints_enumerated",
-                         static_cast<double>(cert.constraints.size()));
-    auto plan = std::make_shared<CertificatePlan>();
-    plan->certificate = cert;
-    s.plan_cache_->insert(key, std::move(plan));
-  }
-  report_certificate(*work, cert, s.solve_options_.certify_options,
-                     report.analysis);
-  report.certificate = std::move(cert);
+  const CertifyOptions& options = s.solve_options_.certify_options;
+  const backend::PlanPtr plan = s.plan_cache_->memo(
+      certificate_key(*work, options), "certify", &trace, [&] {
+        ProgramCertificate cert = certify_program(*work, s.engine_, options);
+        // Enumeration happens only on this cold path; the warm-solve test
+        // asserts this counter stays flat.
+        trace.registry().add("certify.constraints_enumerated",
+                             static_cast<double>(cert.constraints.size()));
+        const std::size_t heap =
+            cert.constraints.size() * sizeof(ConstraintCertificate);
+        return backend::make_memo(std::move(cert), heap);
+      });
+  const auto& cert = backend::memo_value<ProgramCertificate>(*plan);
+  report_certificate(*work, cert, options, report.analysis);
+  report.certificate = cert;
   if (report.analysis.has_errors()) {
     fail(report, FailureKind::kAnalysisRejected,
          "certification rejected the program: " + report.analysis.summary());
@@ -468,19 +433,7 @@ bool Solver::Stages::truth_stage() {
       truth_deferred = true;
       obs::count(&trace, "truth.deferred");
     } else if (!decomposed) {
-      backend::Fingerprint truth_key;
-      truth_key.mix(std::string("truth"));
-      backend::mix_env(truth_key, *work);
-      if (const backend::PlanPtr cached = s.plan_cache_->find(truth_key)) {
-        obs::count(&trace, "plan_cache.hit");
-        report.truth = static_cast<const TruthPlan&>(*cached).truth;
-      } else {
-        obs::count(&trace, "plan_cache.miss");
-        report.truth = ground_truth(*work);
-        auto plan = std::make_shared<TruthPlan>();
-        plan->truth = report.truth;
-        s.plan_cache_->insert(truth_key, std::move(plan));
-      }
+      report.truth = cached_truth(*work);
     } else {
       // A >cap program is exactly what the exact solver chokes on, but its
       // interaction components are independent: truth factorizes into a
@@ -489,32 +442,15 @@ bool Solver::Stages::truth_stage() {
       // itself too large does the report fall back to incumbent-referenced
       // truth (truth_exact == false in the summary).
       const ComponentSplit split = split_components(*work);
-      bool all_small = true;
-      for (const Env& component : split.programs) {
-        all_small = all_small &&
-                    component.num_vars() <=
-                        s.solve_options_.decompose.truth_component_vars;
-      }
-      if (!all_small) {
+      const std::size_t cap = s.solve_options_.decompose.truth_component_vars;
+      if (!std::all_of(split.programs.begin(), split.programs.end(),
+                       [&](const Env& c) { return c.num_vars() <= cap; })) {
         truth_deferred = true;
         obs::count(&trace, "decompose.truth_deferred");
       } else {
         GroundTruth total{true, 0};
         for (const Env& component : split.programs) {
-          backend::Fingerprint truth_key;
-          truth_key.mix(std::string("truth"));
-          backend::mix_env(truth_key, component);
-          GroundTruth part;
-          if (const backend::PlanPtr cached = s.plan_cache_->find(truth_key)) {
-            obs::count(&trace, "plan_cache.hit");
-            part = static_cast<const TruthPlan&>(*cached).truth;
-          } else {
-            obs::count(&trace, "plan_cache.miss");
-            part = ground_truth(component);
-            auto plan = std::make_shared<TruthPlan>();
-            plan->truth = part;
-            s.plan_cache_->insert(truth_key, std::move(plan));
-          }
+          const GroundTruth part = cached_truth(component);
           total.feasible = total.feasible && part.feasible;
           total.best_soft_satisfied += part.best_soft_satisfied;
         }
@@ -532,6 +468,20 @@ bool Solver::Stages::truth_stage() {
     return false;
   }
   return true;
+}
+
+/// Ground truth is deterministic in the program alone, so it lives in the
+/// content-addressed cache next to the backend plans: a batch of repeated
+/// (or renamed-isomorphic) programs, or components, certifies once.
+GroundTruth Solver::Stages::cached_truth(const Env& program) {
+  backend::Fingerprint key;
+  key.mix(std::string("truth"));
+  backend::mix_env(key, program);
+  const backend::PlanPtr plan =
+      s.plan_cache_->memo(key, "truth", &trace, [&] {
+        return backend::make_memo(ground_truth(program));
+      });
+  return backend::memo_value<GroundTruth>(*plan);
 }
 
 void Solver::Stages::dispatch_stage() {
@@ -640,20 +590,14 @@ void Solver::Stages::dispatch_stage() {
         pctx.device = active_device;
         pctx.key = be.plan_key(pctx);
 
-        backend::PlanPtr plan = s.plan_cache_->find(pctx.key);
-        if (plan != nullptr) {
-          obs::count(&trace, "plan_cache.hit");
-        } else {
-          obs::count(&trace, "plan_cache.miss");
-          backend::PrepareOutcome prep = be.prepare(pctx);
-          if (prep.failure != FailureKind::kNone) {
-            fk = prep.failure;
-            detail = std::move(prep.detail);
-          } else {
-            plan = std::move(prep.plan);
-            s.plan_cache_->insert(pctx.key, plan);
-          }
-        }
+        // A failed prepare returns no plan, which memo never caches.
+        const backend::PlanPtr plan =
+            s.plan_cache_->memo(pctx.key, be.name(), &trace, [&] {
+              backend::PrepareOutcome prep = be.prepare(pctx);
+              fk = prep.failure;
+              detail = std::move(prep.detail);
+              return std::move(prep.plan);
+            });
 
         if (fk == FailureKind::kNone) {
           backend::ExecuteContext ectx;
@@ -924,11 +868,7 @@ void Solver::Stages::decompose_stage() {
     report.truth_exact = false;
   }
   report.best_quality = classify(inc_eval, report.truth);
-  switch (report.best_quality) {
-    case Quality::kOptimal: report.counts.optimal = 1; break;
-    case Quality::kSuboptimal: report.counts.suboptimal = 1; break;
-    case Quality::kIncorrect: report.counts.incorrect = 1; break;
-  }
+  report.counts = classify_all({inc_eval}, report.truth);
 }
 
 void Solver::Stages::lift_stage() {
@@ -936,7 +876,7 @@ void Solver::Stages::lift_stage() {
   // take their substituted values, dropped variables default to FALSE, and
   // the ground-truth soft optimum regains the statically-decided softs.
   if (work == &env) return;
-  const ReductionTrace& tr = presolve_plan->result.trace;
+  const ReductionTrace& tr = presolved->result.trace;
   if (report.ran) {
     report.best_assignment = tr.lift(report.best_assignment);
   }

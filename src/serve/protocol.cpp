@@ -1,9 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/json_number.hpp"
+#include "util/json_string.hpp"
 
 namespace nck::serve {
 namespace {
@@ -57,34 +57,8 @@ class Cursor {
   std::string string() {
     std::string out;
     expect('"');
-    while (ok_) {
-      if (pos_ >= text_.size()) {
-        fail("unterminated string");
-        break;
-      }
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          fail("unterminated escape");
-          break;
-        }
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default:
-            fail(std::string("unsupported escape '\\") + e + "'");
-            break;
-        }
-      } else {
-        out += c;
-      }
-    }
+    if (!ok_) return out;
+    if (const char* why = parse_json_string(text_, pos_, out)) fail(why);
     return out;
   }
 
@@ -301,29 +275,6 @@ bool parse_request(const std::string& line, Request& out, std::string& why) {
 
 std::string id_json(const Request& req) {
   return req.has_id ? std::to_string(req.id) : std::string("null");
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string error_response(const std::string& id, const char* op,

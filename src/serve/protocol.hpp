@@ -114,7 +114,4 @@ std::string error_response(const std::string& id, const char* op,
 std::string ok_response(const std::string& id, const char* op,
                         const std::string& payload);
 
-/// Minimal JSON string escaping shared by the response builders.
-std::string json_escape(const std::string& s);
-
 }  // namespace nck::serve

@@ -10,6 +10,7 @@
 #include "circuit/coupling.hpp"
 #include "core/parse.hpp"
 #include "obs/json.hpp"
+#include "util/json_string.hpp"
 #include "util/rng.hpp"
 
 namespace nck::serve {
@@ -274,24 +275,10 @@ std::string Server::dispatch(Solver& solver, Analyzer& analyzer,
     }
     case Op::kCertify: {
       const Env env = parse_program(job.req.program);
-      // The nck_cli certify recipe: program lint with the heuristic gap
-      // pass suppressed, then the sound enumeration certificate.
-      Analyzer certifier;
-      certifier.options().program.scale_separation = false;
-      certifier.options().program.synth_var_budget =
-          solver.engine().general_var_budget();
-      certifier.options().program.synth_builtin =
-          solver.engine().builtin_enabled();
-      AnalysisReport report = certifier.analyze(env);
-      ProgramCertificate cert;
-      if (!report.has_errors()) {
-        const CertifyOptions certify_options;
-        cert = certify_program(env, solver.engine(), certify_options);
-        report_certificate(env, cert, certify_options, report);
-      }
+      const CertifiedProgram out = lint_and_certify(env, solver.engine());
       return ok_response(job.id, "certify",
-                         ",\"certificate\":" + cert.to_json() +
-                             ",\"report\":" + report.to_json());
+                         ",\"certificate\":" + out.certificate.to_json() +
+                             ",\"report\":" + out.report.to_json());
     }
     case Op::kSimplify: {
       const Env env = parse_program(job.req.program);

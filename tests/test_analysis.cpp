@@ -779,14 +779,14 @@ TEST(CertifySolver, WarmCertifyDoesZeroReEnumeration) {
   const SolveReport cold = solver.solve(env, BackendKind::kClassical);
   ASSERT_TRUE(cold.ran) << cold.failure_message();
   EXPECT_DOUBLE_EQ(cold.trace.counter("certify.constraints_enumerated"), 6.0);
-  EXPECT_DOUBLE_EQ(cold.trace.counter("certify.cache_hits"), 0.0);
+  EXPECT_DOUBLE_EQ(cold.trace.counter("certify.cache_hit"), 0.0);
 
   const SolveReport warm = solver.solve(env, BackendKind::kClassical);
   ASSERT_TRUE(warm.ran) << warm.failure_message();
   // The artifact came back from the content-addressed plan cache: the
   // V-diagnostics re-derive by pure arithmetic, enumerating nothing.
   EXPECT_DOUBLE_EQ(warm.trace.counter("certify.constraints_enumerated"), 0.0);
-  EXPECT_DOUBLE_EQ(warm.trace.counter("certify.cache_hits"), 1.0);
+  EXPECT_DOUBLE_EQ(warm.trace.counter("certify.cache_hit"), 1.0);
   ASSERT_TRUE(warm.certificate.has_value());
   EXPECT_TRUE(warm.certificate->ok);
   EXPECT_EQ(warm.certificate->constraints.size(),
@@ -805,7 +805,7 @@ TEST(CertifySolver, DifferentMarginsDoNotShareCachedCertificates) {
   solver.solve_options().certify_options.hard_margin = 2.0;
   const SolveReport second = solver.solve(env, BackendKind::kClassical);
   ASSERT_TRUE(second.ran);
-  EXPECT_DOUBLE_EQ(second.trace.counter("certify.cache_hits"), 0.0);
+  EXPECT_DOUBLE_EQ(second.trace.counter("certify.cache_hit"), 0.0);
   EXPECT_DOUBLE_EQ(second.certificate->hard_scale, 5.0);  // S_max 3 + 2
 }
 

@@ -175,67 +175,3 @@ TEST(Integration, EvaluationConsistencyAcrossPipeline) {
 
 }  // namespace
 }  // namespace nck
-
-namespace nck {
-namespace {
-
-TEST(Integration, PresolveShrinksAnnealerFootprint) {
-  // A program with forced variables: nck({a},{1}) pins a; the remaining
-  // chain of different() constraints then cascades.
-  Env env;
-  const auto v = env.new_vars(6, "v");
-  env.exactly({v[0]}, 1);  // v0 == 1
-  for (std::size_t i = 0; i + 1 < 6; ++i) env.different(v[i], v[i + 1]);
-  const GroundTruth truth = ground_truth(env);
-  ASSERT_TRUE(truth.feasible);
-
-  const Device device = perfect_device("pegasus-2", pegasus_graph(2));
-  auto run = [&](bool use_presolve) {
-    SynthEngine engine;
-    Rng rng(77);
-    AnnealBackendOptions options;
-    options.sampler.num_reads = 20;
-    options.use_presolve = use_presolve;
-    return run_annealer(env, device, engine, rng, options);
-  };
-  const AnnealOutcome plain = run(false);
-  const AnnealOutcome reduced = run(true);
-  ASSERT_TRUE(plain.embedded);
-  ASSERT_TRUE(reduced.embedded);
-  EXPECT_GT(reduced.presolve_fixed, 0u);
-  EXPECT_LT(reduced.qubits_used, plain.qubits_used);
-  // Results stay correct: every read satisfies the forced value.
-  for (const auto& sample : reduced.samples) {
-    EXPECT_TRUE(sample[v[0]]);
-  }
-  const QualityCounts counts = classify_all(reduced.evaluations, truth);
-  EXPECT_TRUE(counts.any_optimal());
-}
-
-TEST(Integration, PresolveFullyPinnedProblemNeedsNoDevice) {
-  // Forced chain: every variable decided by presolve; the "annealer" never
-  // actually embeds anything (qubits_used == 0) yet answers perfectly.
-  Env env;
-  const auto v = env.new_vars(3, "v");
-  env.exactly({v[0]}, 1);
-  env.exactly({v[1]}, 0);
-  env.exactly({v[2]}, 1);
-  const Device device = perfect_device("pegasus-2", pegasus_graph(2));
-  SynthEngine engine;
-  Rng rng(78);
-  AnnealBackendOptions options;
-  options.sampler.num_reads = 10;
-  options.use_presolve = true;
-  const AnnealOutcome outcome = run_annealer(env, device, engine, rng, options);
-  ASSERT_TRUE(outcome.embedded);
-  EXPECT_EQ(outcome.qubits_used, 0u);
-  EXPECT_EQ(outcome.presolve_fixed, 3u);
-  for (const auto& sample : outcome.samples) {
-    EXPECT_TRUE(sample[0]);
-    EXPECT_FALSE(sample[1]);
-    EXPECT_TRUE(sample[2]);
-  }
-}
-
-}  // namespace
-}  // namespace nck

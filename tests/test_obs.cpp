@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -198,6 +199,54 @@ TEST(TraceJson, EmptyTraceRoundTrips) {
   EXPECT_TRUE(empty.empty());
   const obs::TraceData back = obs::trace_from_json(obs::trace_to_json(empty));
   EXPECT_TRUE(back.empty());
+}
+
+TEST(TraceJson, ControlBytesInNamesAreEscapedAndRoundTrip) {
+  // A name holding a control byte other than \n, \t, \r used to be written
+  // raw, which is not JSON.
+  obs::TraceData trace;
+  trace.counters[std::string("a\x01" "b")] = 1.0;
+  const std::string text = obs::trace_to_json(trace);
+  EXPECT_NE(text.find("a\\u0001b"), std::string::npos) << text;
+  EXPECT_EQ(text.find('\x01'), std::string::npos) << "raw control byte";
+  EXPECT_EQ(obs::trace_from_json(text).counters, trace.counters);
+}
+
+TEST(TraceJson, ReaderDecodesUnicodeEscapesAndRejectsRawControlBytes) {
+  // A standard producer may escape any character; the reader used to refuse
+  // every \uXXXX.
+  const obs::TraceData back = obs::trace_from_json(
+      R"({"schema":"nck-trace-v1","spans":[{"name":"\u0041\u00e9"}]})");
+  ASSERT_EQ(back.spans.size(), 1u);
+  EXPECT_EQ(back.spans[0].name, "A\xC3\xA9");
+  EXPECT_THROW(obs::trace_from_json(std::string(
+                   "{\"schema\":\"nck-trace-v1\",\"counters\":{\"a\x01\":1}}")),
+               std::runtime_error);
+  EXPECT_THROW(obs::trace_from_json(
+                   R"({"schema":"nck-trace-v1","counters":{"\uD800":1}})"),
+               std::runtime_error);  // lone surrogate
+}
+
+TEST(TraceJson, CorpusEntriesGetTheirRecordedVerdicts) {
+  // The fuzz_trace_json corpus pins the string codec: \u escapes (a control
+  // byte and a surrogate pair among them) are accepted and reach a
+  // round-trip fixpoint; a raw control byte is refused.
+  const auto read = [](const char* entry) {
+    std::ifstream in(std::string(NCK_REPO_DIR "/tests/corpus/fuzz_trace_json/") +
+                     entry);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_FALSE(text.str().empty()) << entry;
+    return text.str();
+  };
+  for (const char* accepted : {"u_escape", "u_escape_control"}) {
+    const std::string written =
+        obs::trace_to_json(obs::trace_from_json(read(accepted)));
+    EXPECT_EQ(obs::trace_to_json(obs::trace_from_json(written)), written)
+        << accepted;
+  }
+  EXPECT_THROW(obs::trace_from_json(read("raw_control_byte")),
+               std::runtime_error);
 }
 
 TEST(TraceJson, RejectsMalformedInput) {

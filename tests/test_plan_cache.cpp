@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "circuit/adapter.hpp"
 #include "circuit/coupling.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "problems/max_cut.hpp"
 
 namespace nck::backend {
@@ -165,6 +167,34 @@ TEST(PlanKey, CircuitDepthIsPrepareShotsAreExecute) {
   CircuitBackendOptions shots = base;
   shots.qaoa.shots = 17;
   EXPECT_EQ(key_of(base), key_of(shots));
+}
+
+TEST(PlanKey, AnnealKeysMatchRecordedGolden) {
+  // AnnealAdapter::prepare seeds its embedding RNG from the plan key, so a
+  // key that moves moves every chain even when find_embedding is unchanged
+  // (EmbeddingBitIdentity calls prepare_annealer directly and would not
+  // notice). Recorded before the roof-duality QUBO presolve was removed;
+  // its retired flag is still mixed as a constant false.
+  const auto hex = [](const Fingerprint& fp) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                  static_cast<unsigned long long>(fp.hi()),
+                  static_cast<unsigned long long>(fp.lo()));
+    return std::string(buf);
+  };
+  const Env cut = MaxCutProblem{cycle_graph(5)}.encode();
+  EXPECT_EQ(hex(anneal_key(cut, small_anneal_options(), small_device())),
+            "6df99b9f93e065ad67f4c38bb1633047");
+
+  Env mixed;
+  const auto v = mixed.new_vars(3, "x");
+  mixed.nck({v[0], v[1], v[2]}, {1}, ConstraintKind::kHard);
+  mixed.nck({v[0]}, {0}, ConstraintKind::kSoft);
+  mixed.nck({v[1], v[2]}, {0, 2}, ConstraintKind::kSoft);
+  Rng device_rng(7 ^ 0xD3071CEull);  // a Solver(7)'s device
+  const Device advantage = advantage_4_1(device_rng);
+  EXPECT_EQ(hex(anneal_key(mixed, AnnealBackendOptions{}, advantage)),
+            "d9e243a111c169ecc708ffe8add27c5b");
 }
 
 TEST(PlanKey, BackendsNeverCollide) {
@@ -328,6 +358,59 @@ TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.find(key_of(1)), nullptr);
   EXPECT_GE(cache.stats().hits, 1u);
+}
+
+// ------------------------------------------------------------------ memo
+
+TEST(PlanCacheMemo, ComputesOnceThenHitsAndCountsPerStage) {
+  PlanCache cache(0);
+  obs::Trace trace;
+  int computed = 0;
+  const auto compute = [&] {
+    ++computed;
+    return make_memo(std::string("value"));
+  };
+  const PlanPtr cold = cache.memo(key_of(1), "stage", &trace, compute);
+  const PlanPtr warm = cache.memo(key_of(1), "stage", &trace, compute);
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(cold, warm);
+  EXPECT_EQ(memo_value<std::string>(*warm), "value");
+
+  const obs::TraceData data = trace.snapshot();
+  EXPECT_DOUBLE_EQ(data.counter("plan_cache.miss"), 1.0);
+  EXPECT_DOUBLE_EQ(data.counter("plan_cache.hit"), 1.0);
+  EXPECT_DOUBLE_EQ(data.counter("stage.cache_miss"), 1.0);
+  EXPECT_DOUBLE_EQ(data.counter("stage.cache_hit"), 1.0);
+  // The global counters move exactly as one find per lookup and one
+  // insert per computed plan.
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+}
+
+TEST(PlanCacheMemo, NeverCachesAFailure) {
+  PlanCache cache(0);
+  int computed = 0;
+  const auto fail = [&] {
+    ++computed;
+    return PlanPtr{};
+  };
+  EXPECT_EQ(cache.memo(key_of(2), "stage", nullptr, fail), nullptr);
+  EXPECT_EQ(cache.memo(key_of(2), "stage", nullptr, fail), nullptr);
+  EXPECT_EQ(computed, 2);  // retried, not recalled
+  EXPECT_EQ(cache.stats().inserts, 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(PlanCacheMemo, MemoChargesTheBytesItWasGiven) {
+  const PlanPtr inline_only = make_memo(std::uint64_t{7});
+  EXPECT_EQ(inline_only->bytes(), sizeof(Plan) + sizeof(std::uint64_t));
+  const PlanPtr with_heap = make_memo(std::uint64_t{7}, 100);
+  EXPECT_EQ(with_heap->bytes(), sizeof(Plan) + sizeof(std::uint64_t) + 100);
+  const Memo<int> explicit_charge(3, 12345);
+  EXPECT_EQ(explicit_charge.bytes(), 12345u);
+  EXPECT_EQ(explicit_charge.value, 3);
 }
 
 }  // namespace

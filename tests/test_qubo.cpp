@@ -345,86 +345,3 @@ INSTANTIATE_TEST_SUITE_P(RandomQubos, BruteForceProperty,
 
 }  // namespace
 }  // namespace nck
-
-#include "qubo/presolve.hpp"
-
-namespace nck {
-namespace {
-
-TEST(Presolve, FixesObviouslyPositiveAndNegativeVariables) {
-  Qubo q;
-  q.add_linear(0, 3.0);   // always harmful -> fix 0
-  q.add_linear(1, -2.0);  // always helpful -> fix 1
-  q.add_quadratic(0, 1, 1.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], 0);
-  EXPECT_EQ(r.fixed[1], 1);
-  EXPECT_EQ(r.num_fixed, 2u);
-}
-
-TEST(Presolve, CascadesThroughFixings) {
-  // x1 fixable to 1 only after x0 is fixed to 0 (the +5 coupling vanishes).
-  Qubo q;
-  q.add_linear(0, 10.0);
-  q.add_linear(1, -1.0);
-  q.add_quadratic(0, 1, 5.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], 0);
-  EXPECT_EQ(r.fixed[1], 1);
-  EXPECT_GE(r.rounds, 1u);
-}
-
-TEST(Presolve, LeavesFrustratedVariablesFree) {
-  // XOR-like structure: neither variable is decidable alone.
-  Qubo q;
-  q.add_linear(0, 1.0);
-  q.add_linear(1, 1.0);
-  q.add_quadratic(0, 1, -2.0);
-  const PresolveResult r = presolve(q);
-  EXPECT_EQ(r.fixed[0], -1);
-  EXPECT_EQ(r.fixed[1], -1);
-  EXPECT_EQ(r.num_fixed, 0u);
-}
-
-TEST(Presolve, CompleteMergesFixedValues) {
-  Qubo q;
-  q.add_linear(0, 3.0);
-  q.add_linear(1, -2.0);
-  q.add_linear(2, 0.5);
-  q.add_quadratic(1, 2, -1.0);
-  const PresolveResult r = presolve(q);
-  const auto full = r.complete({false, false, true});
-  EXPECT_FALSE(full[0]);  // fixed 0 overrides
-  EXPECT_TRUE(full[1]);   // fixed 1 overrides
-}
-
-class PresolveProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(PresolveProperty, PreservesMinimumEnergy) {
-  Rng rng(static_cast<std::uint64_t>(8600 + GetParam()));
-  const Qubo q = random_qubo(8, rng, 0.4);
-  const PresolveResult r = presolve(q);
-  const double original_min = brute_force_min_energy(q);
-  // Minimize the reduced problem with fixed variables pinned.
-  const double reduced_min =
-      brute_force_min_energy_with_fixed(r.reduced, r.fixed);
-  EXPECT_NEAR(original_min, reduced_min, 1e-9);
-  // And a reduced minimizer completes into an original minimizer.
-  auto reduced = brute_force_minimize(r.reduced);
-  bool found_valid = false;
-  for (const auto& gs : reduced.ground_states) {
-    bool respects = true;
-    for (std::size_t i = 0; i < r.fixed.size(); ++i) {
-      if (r.fixed[i] != -1 && gs[i] != (r.fixed[i] == 1)) respects = false;
-    }
-    if (!respects) continue;
-    found_valid = true;
-    EXPECT_NEAR(q.energy(r.complete(gs)), original_min, 1e-9);
-  }
-  EXPECT_TRUE(found_valid);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomQubos, PresolveProperty, ::testing::Range(0, 20));
-
-}  // namespace
-}  // namespace nck

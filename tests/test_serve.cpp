@@ -71,6 +71,19 @@ TEST(Protocol, RejectsMalformedLinesWithAReason) {
   }
 }
 
+TEST(Protocol, StringsDecodeUnicodeEscapesAndRefuseRawControlBytes) {
+  Request req;
+  std::string why;
+  ASSERT_TRUE(parse_request(
+      R"({"op":"lint","program":"nck({\u0061,b},{1})\r\n"})", req, why))
+      << why;
+  EXPECT_EQ(req.program, "nck({a,b},{1})\r\n");
+  const std::string raw_tab =
+      "{\"op\":\"lint\",\"program\":\"nck({a,\tb},{1})\"}";
+  EXPECT_FALSE(parse_request(raw_tab, req, why));
+  EXPECT_NE(why.find("control byte"), std::string::npos) << why;
+}
+
 TEST(Protocol, OversizedLineIsRejectedBeforeParsing) {
   std::string line = "{\"op\":\"solve\",\"program\":\"";
   line += std::string(kMaxRequestBytes, 'x');

@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/json_string.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -171,6 +172,55 @@ TEST(Table, AlignedAndCsvOutput) {
   EXPECT_NE(csv.str().find("name,value"), std::string::npos);
   EXPECT_NE(csv.str().find("alpha,42"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+// Reads `literal` (a JSON string token, quotes included); returns the
+// failure reason, or "" with the decoded bytes in `out`.
+std::string read_string(const std::string& literal, std::string& out) {
+  std::size_t pos = 1;  // past the opening quote
+  const char* why = parse_json_string(literal, pos, out);
+  if (why != nullptr) return why;
+  EXPECT_EQ(pos, literal.size()) << literal;
+  return "";
+}
+
+TEST(JsonString, EscapeShortFormsAndLowercaseUnicodeForControlBytes) {
+  EXPECT_EQ(json_escape("a\"b\\c\n\t\r"), "a\\\"b\\\\c\\n\\t\\r");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f\b", 3)), "\\u0001\\u001f\\u0008");
+  EXPECT_EQ(json_escape(std::string("\0", 1)), "\\u0000");
+  EXPECT_EQ(json_escape("caf\xC3\xA9 /"), "caf\xC3\xA9 /");  // UTF-8 verbatim
+}
+
+TEST(JsonString, EveryByteRoundTrips) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string back;
+  ASSERT_EQ(read_string("\"" + json_escape(all) + "\"", back), "");
+  EXPECT_EQ(back, all);
+}
+
+TEST(JsonString, DecodesEveryEscapeAndUnicodeToUtf8) {
+  std::string out;
+  ASSERT_EQ(read_string(R"("\"\\\/\b\f\n\r\t")", out), "");
+  EXPECT_EQ(out, "\"\\/\b\f\n\r\t");
+  ASSERT_EQ(read_string(R"("\u0041\u00e9\u20AC")", out), "");
+  EXPECT_EQ(out, "A\xC3\xA9\xE2\x82\xAC");
+  // A surrogate pair is one code point, U+1F600, four UTF-8 bytes.
+  ASSERT_EQ(read_string(R"("\uD83D\uDE00")", out), "");
+  EXPECT_EQ(out, "\xF0\x9F\x98\x80");
+  ASSERT_EQ(read_string(R"("\u0001")", out), "");
+  EXPECT_EQ(out, "\x01");
+}
+
+TEST(JsonString, RejectsLoneSurrogatesRawControlBytesAndBadEscapes) {
+  std::string out;
+  const std::string bad_strings[] = {
+      R"("\uDE00")", R"("\uD83D")", R"("\uD83Dx")", R"("\uD83D\u0041")",
+      R"("\u12")",   R"("\u12G4")", R"("\q")",      "\"a\x01\"",
+      "\"a\tb\"",    "\"a\nb\"",    "\"abc",       "\"a\\"};
+  for (const std::string& bad : bad_strings) {
+    EXPECT_NE(read_string(bad, out), "") << "accepted " << bad;
+  }
 }
 
 }  // namespace
